@@ -14,10 +14,11 @@ concolic engine produces: a *conjunction* of literals over
 * identity literals between abstract values.
 
 Decision procedure: enumerate kind assignments (domains are tiny),
-resolve class-dependent attributes, then find witnesses for the residual
-numeric constraints by candidate-pool search seeded from the constants
-appearing in the constraints.  The solver is sound (every model is
-checked by evaluation before being returned) but deliberately
+resolve class-dependent attributes, refute assignments whose interval
+bounds already falsify a comparison, then find witnesses for the
+residual numeric constraints by candidate-pool search seeded from the
+constants appearing in the constraints.  The solver is sound (every
+model is checked by evaluation before being returned) but deliberately
 incomplete: a path whose witnesses are not found is reported
 unsatisfiable and curated out, mirroring the paper's own curation step.
 

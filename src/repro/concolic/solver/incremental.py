@@ -26,7 +26,7 @@ Two invariants, both enforced structurally:
 * **Soundness.**  Every merged model is re-verified against the full
   original conjunction (``model.satisfies``) before being returned; a
   verification failure falls back to a cold joint solve.  No unverified
-  model ever escapes, mirroring the raw engine's step 5.
+  model ever escapes, mirroring the raw engine's step 6.
 
 Ablation escape hatch: calls with a non-default ``strategy`` or an
 explicit ``max_nodes`` budget bypass all three tiers and hit the raw

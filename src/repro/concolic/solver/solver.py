@@ -8,13 +8,19 @@
 2. merge identity aliases (union-find) and intersect kind domains;
 3. enumerate kind assignments per abstract value (domains are tiny) and,
    for OBJECT kinds, candidate classes from the class table;
-4. find witnesses for the residual numeric constraints by candidate-pool
+4. refute by bounds: under each assignment, bound both sides of every
+   numeric literal by interval arithmetic and skip the assignment when
+   some comparison is false for every pair of values (:func:`_interval`);
+5. find witnesses for the residual numeric constraints by candidate-pool
    search seeded from the constants occurring in the constraints;
-5. verify the assembled model by evaluating every literal.
+6. verify the assembled model by evaluating every literal.
 
-Soundness comes from step 5: no unverified model is ever returned.
-Completeness is deliberately bounded (search caps), mirroring the
-paper's curation of paths its prototype cannot handle.
+Soundness comes from step 6: no unverified model is ever returned.
+Step 4 only refutes and never supplies a value: every candidate lies
+inside its variable's bounds, so a refuted literal is false under every
+assignment the search could try.  Completeness is deliberately bounded
+(search caps), mirroring the paper's curation of paths its prototype
+cannot handle.
 
 Budget exhaustion is a first-class verdict: :func:`solve_status`
 returns the model together with :class:`SolveStats`, whose ``status``
@@ -26,6 +32,7 @@ property tests rely on that distinction.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -386,6 +393,99 @@ def _literal_dependencies(term: Term, free: dict, uf: _UnionFind) -> set:
     return deps
 
 
+#: Attributes backed by a synthetic free variable when the kind has one.
+_SYNTHETIC_PREFIX = {"int_value_of": "IV::", "slot_count_of": "SC::"}
+
+#: Operators whose range over a box is spanned by its four corners.
+_CORNER_OPS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "floordiv": operator.floordiv,
+}
+
+
+def _interval(term: Term, free: dict, env: _SearchEnv) -> tuple | None:
+    """``(low, high)`` holding every value *term* takes in the search, or None.
+
+    The rules mirror :class:`_SearchEnv`: a free variable ranges over
+    its ``free`` bounds (every candidate pool is clipped to them), and
+    everything the current assignment fixes is its own value.  None
+    means unbounded — float terms and operators without a rule.
+    """
+    op = term.op
+    if op == "const":
+        value = term.args[0]
+        return (value, value) if isinstance(value, int) else None
+    if op == "var":
+        bounds = free.get(term.args[0])
+        if bounds is None:
+            value = env("var", term.args[0])
+            return (value, value)
+        return (bounds[1], bounds[2]) if bounds[0] == "int" else None
+    if op in OOP_ATTRIBUTES:
+        oop = term.args[0]
+        if op == "float_value_of" or not oop.is_var:
+            return None
+        prefix = _SYNTHETIC_PREFIX.get(op)
+        if prefix is not None:
+            bounds = free.get(prefix + env.uf.find(oop.args[0]))
+            if bounds is not None:
+                return (bounds[1], bounds[2])
+        value = env(op, oop.args[0])
+        return (value, value)
+    if op == "neg":
+        inner = _interval(term.args[0], free, env)
+        return None if inner is None else (-inner[1], -inner[0])
+    if op not in _CORNER_OPS and op not in ("mod", "shr", "bitand"):
+        return None
+    left = _interval(term.args[0], free, env)
+    right = _interval(term.args[1], free, env)
+    if op == "bitand":
+        # x & y lies in [0, y] whenever y >= 0.
+        highs = [side[1] for side in (left, right)
+                 if side is not None and side[0] >= 0]
+        return (0, min(highs)) if highs else None
+    if op == "mod":
+        if right is None or right[0] <= 0 <= right[1]:
+            return None
+        return (0, right[1] - 1) if right[0] > 0 else (right[0] + 1, 0)
+    if left is None or right is None:
+        return None
+    if op == "shr":
+        if left[0] < 0 or right[0] < 0 or right[1] > 64:
+            return None
+        return (left[0] >> right[1], left[1] >> right[0])
+    if op == "floordiv" and right[0] <= 0 <= right[1]:
+        return None
+    fn = _CORNER_OPS[op]
+    corners = [fn(a, b) for a in left for b in right]
+    return (min(corners), max(corners))
+
+
+def _refuted(literal: Term, free: dict, env: _SearchEnv) -> bool:
+    """True when comparison *literal* is false for every pair of values."""
+    left = _interval(literal.args[0], free, env)
+    if left is None:
+        return False
+    right = _interval(literal.args[1], free, env)
+    if right is None:
+        return False
+    (left_low, left_high), (right_low, right_high) = left, right
+    op = literal.op
+    if op == "lt":
+        return left_low >= right_high
+    if op == "le":
+        return left_low > right_high
+    if op == "gt":
+        return left_high <= right_low
+    if op == "ge":
+        return left_high < right_low
+    if op == "eq":
+        return left_high < right_low or right_high < left_low
+    return left_low == left_high == right_low == right_high  # ne
+
+
 def _search_witnesses(problem, assignment, uf, rng, strategy="backtracking",
                       budget=None, stats=None, extra_constants=()):
     """Witness search over the numeric residual.
@@ -395,6 +495,12 @@ def _search_witnesses(problem, assignment, uf, rng, strategy="backtracking",
     its dependencies are assigned, pruning dead branches immediately.
     ``strategy="product"`` is the naive cartesian-product baseline kept
     for the ablation benchmark: it only checks complete assignments.
+
+    Backtracking first refutes by bounds (:func:`_refuted`): a literal
+    false for every value its intervals allow ends the search before
+    any node is charged.  The product baseline stays unpruned, so the
+    strategy-agreement tests check refutation against an exhaustive
+    reference.
 
     ``extra_constants`` seeds the candidate pools beyond the constants
     occurring in this conjunction — the incremental layer passes the
@@ -408,18 +514,25 @@ def _search_witnesses(problem, assignment, uf, rng, strategy="backtracking",
         (literal, _literal_dependencies(literal, free, uf))
         for literal in problem.numeric_literals
     ]
-    # Ground literals (no free deps) must hold under the fixed parts.
+    # Ground literals (no free deps) must hold under the fixed parts;
+    # the others must not be refuted by their bounds.
+    refute = strategy == "backtracking"
     for literal, deps in dependencies:
-        if not deps and not _check_literal(literal, env):
+        if deps:
+            if refute and _refuted(literal, free, env):
+                return False
+        elif not _check_literal(literal, env):
             return False
     if not free:
         return True
     constants: set = set(extra_constants)
     for literal in problem.numeric_literals:
         _collect_constants(literal, constants)
-    # Assign most-constrained variables first.
+    # Assign most-constrained variables first; names break ties, so the
+    # order does not follow the hash seed through ``problem.int_vars``.
     names = sorted(
-        free, key=lambda n: -sum(1 for _, deps in dependencies if n in deps)
+        free,
+        key=lambda n: (-sum(1 for _, deps in dependencies if n in deps), n),
     )
     pools = {
         name: _candidate_pool(problem, name, free[name], constants) for name in names

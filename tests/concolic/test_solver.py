@@ -7,11 +7,23 @@ literal it was given.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.concolic.solver import KindTag, SolverContext, solve
+from repro.concolic.solver import (
+    KindTag,
+    SolverContext,
+    solve,
+    solve_status,
+    solve_status_raw,
+)
 from repro.concolic.terms import (
     Sort,
     compare,
@@ -38,6 +50,10 @@ def v(name):
 
 def iv(name):
     return oop_attribute("int_value_of", v(name))
+
+
+def raw(name):
+    return var(name, Sort.INT)
 
 
 class TestKinds:
@@ -232,3 +248,90 @@ class TestSoundness:
         model = solve(literals, context)
         assert model is not None
         assert lower <= model.kind_of("a").value <= lower + spread
+
+
+class TestRefutationByBounds:
+    def test_ffi_byte_read_is_refuted_without_search(self, context):
+        """An FFI byte read negated against the 30-bit bound: a byte
+        (``bitand(..., 255)``) can never exceed 1073741823, so the
+        interval bounds refute it before a single witness is tried."""
+        external_address = 16
+        assert context.default_object_classes[4] == external_address
+        byte = int_binary(
+            "bitand",
+            int_binary(
+                "shr",
+                raw("v2.raw"),
+                int_binary("mul", int_binary("mod", iv("v1"), 4), 8),
+            ),
+            255,
+        )
+        literals = [
+            compare("eq", oop_attribute("class_index_of", v("v0")),
+                    external_address),
+            compare("ge", int_binary("floordiv", iv("v1"), 4), 0),
+            compare("gt", oop_attribute("slot_count_of", v("v0")),
+                    int_binary("floordiv", iv("v1"), 4)),
+            kind_predicate("is_small_int", v("v1")),
+            not_(compare("ge", byte, 128)),
+            not_(compare("gt", int_binary("add", iv("v1"), 1),
+                         int_binary("mul",
+                                    oop_attribute("slot_count_of", v("v0")),
+                                    4))),
+            not_(kind_predicate("is_small_int", v("v0"))),
+            not_(kind_predicate("is_small_int", v("v0"))),
+            not_(compare("le", byte, 1073741823)),
+            not_(compare("lt", iv("v1"), 0)),
+            not_(compare("ne", int_binary("mod", iv("v1"), 1), 0)),
+        ]
+        model, stats = solve_status(literals, context, cache=None)
+        assert model is None
+        assert stats.status == "unsat"
+        assert stats.nodes == 0
+
+    def test_product_strategy_is_not_pruned(self, context):
+        """The ablation baseline keeps searching, so it stays an
+        unpruned reference for the refutation."""
+        literals = [
+            compare("gt", int_binary("bitand", raw("v0.raw"), 255), 1000),
+        ]
+        fast, fast_stats = solve_status_raw(literals, context)
+        slow, slow_stats = solve_status_raw(literals, context,
+                                            strategy="product")
+        assert fast is None and slow is None
+        assert fast_stats.status == slow_stats.status == "unsat"
+        assert fast_stats.nodes == 0 < slow_stats.nodes
+
+
+class TestHashSeedIndependence:
+    SCRIPT = (
+        "import json\n"
+        "from repro.concolic.solver import SolverContext, solve_status\n"
+        "from repro.concolic.terms import Sort, compare, int_binary, var\n"
+        "from repro.memory.bootstrap import bootstrap_memory\n"
+        "memory, _ = bootstrap_memory(heap_words=512)\n"
+        "context = SolverContext.from_memory(memory)\n"
+        "total = int_binary('add', var('v0.raw', Sort.INT),\n"
+        "                   var('v1.raw', Sort.INT))\n"
+        "model, stats = solve_status([compare('gt', total, 0)], context)\n"
+        "print(json.dumps([model.to_dict(), stats.nodes]))\n"
+    )
+
+    def test_witness_search_ignores_the_hash_seed(self):
+        """Variables tied on constraint count are ordered by name, not
+        by the iteration order of a set of strings: the same
+        conjunction gets the same model and node count in every
+        process."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        runs = []
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT],
+                capture_output=True, text=True, check=True, env=env,
+                timeout=120,
+            )
+            runs.append(proc.stdout)
+        assert runs[0] == runs[1]
+        model, nodes = json.loads(runs[0])
+        assert model["int_values"] == {"v0.raw": 0, "v1.raw": 1}
