@@ -253,19 +253,18 @@ def cmd_campaign(args) -> int:
     run_kwargs = dict(journal_path=args.journal, resume=args.resume,
                       jobs=args.jobs, triage=triage,
                       cache_dir=resolve_cache_dir(args))
+    rows = None
     if args.stitch:
-        from repro.difftest.runner import run_stitched_campaign
+        from repro.difftest.runner import stitched_campaign_rows
 
-        reports = run_stitched_campaign(config, **run_kwargs)
-        print(format_table2(reports))
+        rows = stitched_campaign_rows(config)
     elif args.sequences:
-        from repro.difftest.runner import run_sequence_campaign
+        from repro.difftest.runner import sequence_campaign_rows
 
-        reports = run_sequence_campaign(config, **run_kwargs)
-        print(format_table2(reports))
-    else:
-        reports = run_campaign(config, **run_kwargs)
-        print(format_table2(reports))
+        rows = sequence_campaign_rows(config)
+    reports = run_campaign(config, rows, **run_kwargs)
+    print(format_table2(reports))
+    if rows is None:
         print()
         print(format_table3(reports))
     quarantine_section = format_quarantine(reports.quarantine)

@@ -185,9 +185,9 @@ class ExplorationCache:
     backend under test.  The paper notes exactly this: "the results of
     the concolic exploration can be cached and reused multiple times".
     One cache instance is shared by every (compiler x backend) cell of
-    an instruction: the sequential runner keeps one per campaign, a
-    parallel worker one per shard (a shard carries all compiler cells
-    of one instruction, so the reuse is identical in both modes).
+    an instruction: the campaign's shard function keeps one per shard,
+    and a shard carries all compiler cells of one instruction, in
+    process or in a worker alike.
 
     Only *full-budget* explorations are cached; reduced-budget retry
     explorations stay private to their cell so a cache never serves

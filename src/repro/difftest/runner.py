@@ -19,12 +19,12 @@ With a journal attached, completed cells are checkpointed to JSONL and
 expired deadline) picks up where it left off with identical aggregate
 counts.
 
-Two execution engines share one canonical plan (:func:`campaign_rows`):
-the in-process sequential engine below, and the process-pool engine in
-:mod:`repro.parallel` (``jobs > 1``), which shards the plan by
-instruction across OS worker processes and merges worker records back
-into plan order — aggregate reports are byte-identical across ``-j``
-values.
+One engine runs every plan (:func:`run_campaign`): it shards the plan
+by instruction and runs each shard through the cell loop of
+:mod:`repro.parallel.worker` — in process at ``-j 1``, in forked OS
+worker processes at ``-j N`` — then merges the serialized cell records
+back into plan order, so aggregate reports are byte-identical across
+``-j`` values.
 """
 
 from __future__ import annotations
@@ -51,14 +51,14 @@ from repro.jit.register_allocating import RegisterAllocatingCogit
 from repro.jit.simple_stack import SimpleStackBasedCogit
 from repro.jit.stack_to_register import StackToRegisterCogit
 from repro.robustness.budgets import Deadline
-from repro.robustness.checkpoint import CampaignJournal, cell_key
+from repro.robustness.checkpoint import CampaignJournal
 from repro.robustness.errors import (
     BudgetExhausted,
     CampaignError,
     classify_crash,
     guard,
 )
-from repro.robustness.quarantine import Quarantine, QuarantineEntry
+from repro.robustness.quarantine import Quarantine
 
 BYTECODE_COMPILERS = (
     SimpleStackBasedCogit,
@@ -147,13 +147,13 @@ class CampaignConfig:
     max_sim_steps: int = 20_000
     #: Wall-clock budget for the whole campaign (None = unbounded).
     deadline_seconds: float | None = None
-    #: Per-cell wall-clock budget enforced by the parallel engine's
+    #: Per-cell wall-clock budget enforced at ``-j N`` by the pool's
     #: supervisor (``--cell-timeout``): a worker whose current cell
     #: outlives it is SIGKILLed, the cell is quarantined as
     #: ``BudgetExhausted`` and the rest of its shard re-queued.  None
     #: derives a default from ``deadline_seconds`` (a quarter, floored
-    #: at 1s); with neither set, supervision is off.  The sequential
-    #: engine relies on cooperative deadline checks instead.
+    #: at 1s); with neither set, supervision is off.  ``-j 1`` runs
+    #: cells in process and relies on cooperative deadline checks.
     cell_timeout_seconds: float | None = None
     #: Worker resource limits, applied via ``setrlimit`` in each forked
     #: child (``--worker-memory-mb`` -> RLIMIT_AS,
@@ -171,9 +171,9 @@ class CampaignConfig:
     #: Active mutant ids from the semantic mutation registry
     #: (``campaign --mutant`` / ``repro mutate``; see docs/MUTATION.md).
     #: Part of the config so the mutated semantics cross the fork
-    #: boundary with the pickled config and reach every engine: the
-    #: sequential runner, pool workers, quarantine retries, triage
-    #: trials and emitted reproducers all activate exactly this tuple.
+    #: boundary with the config and reach every process: in-process
+    #: shards, pool workers, quarantine retries, triage trials and
+    #: emitted reproducers all activate exactly this tuple.
     mutants: tuple = ()
     #: Collect cache/solver instrumentation (``campaign --profile``).
     #: Profiling observes counters and wall-clock only; reports stay
@@ -307,11 +307,10 @@ class ExperimentRow:
     """One report row of the campaign: a compiler over a spec list.
 
     The row sequence returned by :func:`campaign_rows` /
-    :func:`sequence_campaign_rows` is the *canonical plan*: the
-    sequential engine executes it in order, the parallel engine shards
-    it and merges results back into exactly this order, and ``--resume``
-    replays against it.  Determinism across ``-j`` values holds because
-    every mode reports through the same plan.
+    :func:`sequence_campaign_rows` is the *canonical plan*: the engine
+    shards it, merges cell records back into exactly this order, and
+    ``--resume`` replays against it.  Determinism across ``-j`` values
+    holds because every mode reports through the same plan.
     """
 
     experiment: str  # journal namespace: "main" | "sequences" | "stitched"
@@ -358,8 +357,8 @@ def stitched_campaign_rows(config: CampaignConfig) -> list[ExperimentRow]:
 
     The corpus is derived (memoized per budget, mutants suspended) by
     :func:`repro.stitch.corpus.build_stitched_corpus` — a deterministic
-    pure function of the config's ``stitch_*`` knobs, so parent and
-    pool workers independently resolve identical rows.
+    pure function of the config's ``stitch_*`` knobs, so every run of
+    the same config resolves identical rows.
     """
     from repro.stitch.corpus import StitchBudget, build_stitched_corpus
 
@@ -391,7 +390,7 @@ class CampaignResult(list):
         self.budget_exhausted = False
         self.resumed_cells = 0
         self.journal_path = None
-        #: Worker processes used (1 = in-process sequential engine).
+        #: Worker processes used (1 = shards ran in process).
         self.workers = 1
         #: Exploration-cache effectiveness over the whole run.
         self.cache_hits = 0
@@ -406,7 +405,7 @@ class CampaignResult(list):
         #: :class:`repro.triage.TriageReport` when the run was triaged
         #: (``campaign --triage``), else None.
         self.triage = None
-        #: Supervision bookkeeping (parallel engine): cells preempted
+        #: Supervision bookkeeping (worker pool): cells preempted
         #: at --cell-timeout and replacement workers spawned.
         self.preempted_cells = 0
         self.respawned_workers = 0
@@ -420,7 +419,7 @@ class CampaignResult(list):
 
 @dataclass
 class JournaledExploration:
-    """Exploration counters rebuilt from a journal record."""
+    """Exploration counters rebuilt from a cell record."""
 
     instruction: str
     kind: str
@@ -430,8 +429,9 @@ class JournaledExploration:
 
 @dataclass
 class ResumedCellResult:
-    """An :class:`InstructionTestResult` stand-in replayed from the
-    journal: same counters and comparison verdicts, no live paths."""
+    """An :class:`InstructionTestResult` stand-in rebuilt from its
+    cell record (run, journal or store): same counters and comparison
+    verdicts, no live paths."""
 
     instruction: str
     kind: str
@@ -451,35 +451,6 @@ class ResumedCellResult:
         return [c for c in self.comparisons if c.is_difference]
 
 
-class _CampaignContext:
-    """Shared mutable state of one campaign run."""
-
-    def __init__(self, config: CampaignConfig, journal_path=None,
-                 resume: bool = False, cached=None, store=None,
-                 fingerprints=None):
-        self.config = config
-        self.deadline = Deadline(config.deadline_seconds)
-        self.quarantine = Quarantine()
-        self.explorations = ExplorationCache()
-        self.resume = resume
-        self.journal = CampaignJournal(journal_path) if journal_path else None
-        if self.journal is not None and not resume:
-            # A fresh (non-resuming) run must not append to stale state.
-            self.journal.path.unlink(missing_ok=True)
-        self.completed = (
-            self.journal.load() if (self.journal is not None and resume) else {}
-        )
-        self.resumed_cells = 0
-        self.budget_exhausted = False
-        #: Persistent result-store state (docs/INCREMENTAL.md): records
-        #: already served by fingerprint, the store for write-back, and
-        #: the plan's key -> fingerprint map.
-        self.cached = cached or {}
-        self.store = store
-        self.fingerprints = fingerprints or {}
-        self.cached_cells = 0
-
-
 def _backend_scope(config: CampaignConfig) -> str:
     return "+".join(
         getattr(backend, "name", str(backend)) for backend in config.backends
@@ -491,16 +462,16 @@ def execute_cell(config: CampaignConfig, deadline, spec, compiler_class,
     """Run one cell with crash isolation: (result, None) on success,
     (None, CampaignError) after the reduced-budget retry also failed.
 
-    This is the cell executor shared by both engines: the sequential
-    runner calls it in the main process, a parallel worker calls it
-    inside its own OS process.  A campaign-scoped
+    This is the cell executor of :func:`repro.parallel.worker.serve_shard`,
+    which runs in the main process at ``-j 1`` and in each worker
+    process at ``-j N``.  A campaign-scoped
     :class:`BudgetExhausted` (the shared deadline expiring) always
     propagates — stopping the run is the caller's decision.
 
     ``config.mutants`` is activated around the whole cell — both the
     full-budget attempt and the reduced-budget quarantine retry — so
     every execution path sees the same (possibly mutated) semantics
-    regardless of which engine called in.  Activation is
+    regardless of which process called in.  Activation is
     reference-counted (:mod:`repro.mutation.registry`), so a caller
     that already holds the mutants active (a pool worker forked under
     them, a triage pass) nests safely.
@@ -580,6 +551,7 @@ def _serialize_cell(key: str, result, quarantine_entry=None) -> dict:
         "interpreter_paths": result.exploration.path_count,
         "curated_paths": result.curated_path_count,
         "differing_paths": result.differing_paths,
+        "explore_seconds": result.exploration.elapsed_seconds,
         "test_seconds": result.test_seconds,
         "retries": getattr(result, "retries", 0),
         "comparisons": [
@@ -609,6 +581,7 @@ def _rebuild_cell(record: dict) -> ResumedCellResult:
             instruction=record["instruction"],
             kind=record["kind"],
             path_count=record["interpreter_paths"],
+            elapsed_seconds=record.get("explore_seconds", 0.0),
         ),
         curated_path_count=record["curated_paths"],
         comparisons=comparisons,
@@ -618,100 +591,58 @@ def _rebuild_cell(record: dict) -> ResumedCellResult:
     )
 
 
-def _run_experiment(ctx: _CampaignContext, row: ExperimentRow) -> CompilerReport:
-    """One report row, cell by cell, with checkpointing and quarantine."""
-    compiler_class = row.compiler_class
-    report = CompilerReport(compiler=row.label)
-    for spec in row.specs:
-        if ctx.budget_exhausted:
-            break
-        key = cell_key(row.experiment, compiler_class.name, spec.kind,
-                       spec.name)
-        record = ctx.completed.get(key)
-        if record is not None:
-            _accumulate(report, _rebuild_cell(record))
-            ctx.resumed_cells += 1
-            if record.get("quarantined"):
-                ctx.quarantine.add(
-                    QuarantineEntry.from_dict(record["quarantined"])
-                )
-            continue
-        cached = ctx.cached.get(key)
-        if cached is not None:
-            # Served from the persistent result store: rebuilt by the
-            # same machinery as a journal-resumed cell, so aggregate
-            # reports are byte-identical to a cold run.
-            _accumulate(report, _rebuild_cell(cached))
-            ctx.cached_cells += 1
-            continue
-        try:
-            result, error = execute_cell(ctx.config, ctx.deadline, spec,
-                                         compiler_class, ctx.explorations)
-        except BudgetExhausted as exc:
-            if exc.scope == "campaign":
-                # Campaign deadline expired: stop cleanly; the journal
-                # allows this run to be resumed.
-                ctx.budget_exhausted = True
-                break
-            raise
-        entry = None
-        if error is not None:
-            entry = QuarantineEntry.from_error(
-                error,
-                instruction=spec.name,
-                kind=spec.kind,
-                compiler=compiler_class.name,
-                backend=_backend_scope(ctx.config),
-            )
-            ctx.quarantine.add(entry)
-            result = _crashed_result(spec, compiler_class, ctx.config, error)
-        _accumulate(report, result)
-        record = _serialize_cell(key, result, entry)
-        if ctx.journal is not None:
-            ctx.journal.append(record)
-        if (ctx.store is not None and error is None
-                and getattr(result, "retries", 0) == 0
-                and not getattr(result.exploration, "budget_exhausted",
-                                False)):
-            # Only clean first-attempt cells with a complete exploration
-            # enter the cross-run store; quarantines, retried cells and
-            # budget-truncated explorations always re-run.
-            fingerprint = ctx.fingerprints.get(key)
-            if fingerprint:
-                ctx.store.put(fingerprint, record)
-    return report
-
-
-def _finish(result: CampaignResult, ctx: _CampaignContext,
-            journal_path) -> CampaignResult:
-    result.quarantine = ctx.quarantine
-    result.budget_exhausted = ctx.budget_exhausted
-    result.resumed_cells = ctx.resumed_cells
-    result.cached_cells = ctx.cached_cells
-    result.journal_path = journal_path
-    result.cache_hits = ctx.explorations.hits
-    result.cache_misses = ctx.explorations.misses
-    if ctx.journal is not None and ctx.resume:
-        result.journal_replay = ctx.journal.replay
-    return result
-
-
 def _run_rows(config: CampaignConfig, rows: list[ExperimentRow], *,
               journal_path, resume: bool, jobs: int,
               triage=None, cache_dir=None) -> CampaignResult:
-    """Dispatch a canonical plan to the sequential or parallel engine.
-
-    With *cache_dir* set, the persistent result store is consulted
-    *before* engine dispatch: every plan cell is fingerprinted
-    (:mod:`repro.incremental.fingerprint`) and hits are injected as
-    pre-completed records into whichever engine runs — a fully-warm
-    parallel campaign therefore forks zero workers.
-    """
+    """Run a canonical plan (profiled when ``config.profile``), then
+    triage it when *triage* is set."""
     if config.profile:
         perf.enable()
+    try:
+        result = _run_shards(config, rows, journal_path, resume, jobs,
+                             cache_dir)
+    finally:
+        if config.profile:
+            perf.disable()
+    if triage is not None:
+        # Triage always runs in the parent process, over the serialized
+        # cell records every -j produces, so confirmation/shrinking are
+        # byte-identical across -j values.
+        from repro.triage import run_triage
+
+        result.triage = run_triage(
+            result, config, triage, journal_path=journal_path, resume=resume
+        )
+    return result
+
+
+def _run_shards(config: CampaignConfig, rows: list[ExperimentRow],
+                journal_path, resume: bool, jobs: int,
+                cache_dir) -> CampaignResult:
+    """The engine: one set-up, one shard function, one finish.
+
+    The set-up replays the journal (``resume``) or starts it afresh,
+    serves every cell the persistent result store already holds
+    (*cache_dir*; each plan cell is fingerprinted by
+    :mod:`repro.incremental.fingerprint`), and groups what is left
+    into per-instruction shards.  Every shard then runs through
+    :func:`repro.parallel.worker.serve_shard`: here in process at
+    ``-j 1``, in forked pool workers at ``-j N`` — a fully-warm or
+    fully-resumed campaign therefore forks no worker.  The finish
+    merges the cell records into reports in plan order, so reports are
+    byte-identical across ``-j``, ``--resume`` and cache state; the
+    records themselves are dropped on return.
+    """
+    from repro.parallel.merge import merge_records
+    from repro.parallel.shard import plan_cells, plan_shards, resolve_jobs
+
+    jobs = resolve_jobs(jobs)
+    result = CampaignResult()
+    result.journal_path = journal_path
+    result.workers = jobs
     store = None
     fingerprints: dict = {}
-    cached_records: dict = {}
+    served: dict = {}
     if cache_dir:
         from repro.incremental import ResultStore, plan_fingerprints
 
@@ -721,76 +652,94 @@ def _run_rows(config: CampaignConfig, rows: list[ExperimentRow], *,
         for key, fingerprint in fingerprints.items():
             cached = store.get(fingerprint, key)
             if cached is not None:
-                cached_records[key] = cached
-    if jobs is None or jobs == 1:
-        try:
-            ctx = _CampaignContext(config, journal_path, resume,
-                                   cached=cached_records, store=store,
-                                   fingerprints=fingerprints)
-            result = CampaignResult()
-            for row in rows:
-                result.append(_run_experiment(ctx, row))
-            result = _finish(result, ctx, journal_path)
-            if config.profile:
-                result.perf = _capture_perf(result)
-        finally:
-            if config.profile:
-                perf.disable()
+                served[key] = cached
+    journal = CampaignJournal(journal_path) if journal_path else None
+    if journal is not None and not resume:
+        # A fresh (non-resuming) run must not append to stale state.
+        journal.path.unlink(missing_ok=True)
+    completed = journal.load() if (journal is not None and resume) else {}
+    # Triage records share the journal under ``triage::`` keys; the
+    # planned-key filter keeps them out of cell resume.
+    planned = {cell.key for cell in plan_cells(rows)}
+    records = {key: rec for key, rec in completed.items() if key in planned}
+    result.resumed_cells = len(records)
+    for key, record in served.items():
+        if key not in records:
+            records[key] = record
+            result.cached_cells += 1
+    shards = plan_shards(rows, records)
+    deadline = Deadline(config.deadline_seconds)
+    if jobs == 1:
+        _serve_in_process(config, rows, shards, records, result, deadline,
+                          journal, store, fingerprints)
     else:
         from repro.parallel.pool import run_parallel_rows
 
-        try:
-            result = run_parallel_rows(config, rows, jobs=jobs,
-                                       journal_path=journal_path,
-                                       resume=resume, cached=cached_records,
-                                       fingerprints=fingerprints,
-                                       cache_dir=cache_dir)
-            if config.profile:
-                # Cache lookups happen in the parent; fold its counters
-                # into the workers' merged snapshot.
-                result.perf = perf.merge_snapshots(
-                    [result.perf or {}, perf.snapshot() or {}]
-                )
-        finally:
-            if config.profile:
-                perf.disable()
+        run_parallel_rows(config, rows, shards, records, result,
+                          jobs=jobs, deadline=deadline, journal=journal,
+                          store=store, fingerprints=fingerprints,
+                          cache_dir=cache_dir)
+    merge_records(rows, records, result)
+    if journal is not None and resume:
+        result.journal_replay = journal.replay
     if store is not None:
         result.cache = store.stats
-    if triage is not None:
-        # Triage always runs in the parent process, over the serialized
-        # cell records both engines produce, so confirmation/shrinking
-        # are engine-independent and byte-identical across -j values.
-        from repro.triage import run_triage
+    if config.profile:
+        from repro.concolic.solver.incremental import record_solver_gauges
 
-        result.triage = run_triage(
-            result, config, triage, journal_path=journal_path, resume=resume
+        # Store lookups and in-process shards count in this process;
+        # fold them into the workers' merged snapshot.
+        record_solver_gauges()
+        result.perf = perf.merge_snapshots(
+            [result.perf or {}, perf.snapshot()]
         )
     return result
 
 
-def _capture_perf(result: CampaignResult) -> dict:
-    """Fold run-wide cache accounting into the recorder and snapshot it."""
-    from repro.concolic.solver.incremental import record_solver_gauges
+def _serve_in_process(config, rows, shards, records: dict,
+                      result: CampaignResult, deadline, journal, store,
+                      fingerprints) -> None:
+    """``-j 1``: every shard in this process, the parent's message
+    handler standing in for a worker's pipe.  The shard writes through
+    the parent's own store, which counts its puts itself; a crash under
+    ``fail_fast`` propagates unchanged."""
+    from repro.parallel.worker import serve_shard
 
-    perf.incr("explore.cache_hits", result.cache_hits)
-    perf.incr("explore.cache_misses", result.cache_misses)
-    record_solver_gauges()
-    return perf.snapshot()
+    def receive(message) -> None:
+        if message[0] == "cell":
+            records[message[1]] = message[2]
+        elif message[0] == "shard_done":
+            result.cache_hits += message[1]
+            result.cache_misses += message[2]
+
+    try:
+        for shard in shards:
+            serve_shard(receive, rows, config, deadline, journal, store,
+                        shard, fingerprints)
+    except BudgetExhausted as exc:
+        if exc.scope != "campaign":
+            raise
+        # Campaign deadline expired: stop cleanly; the journal allows
+        # this run to be resumed.
+        result.budget_exhausted = True
 
 
-def run_campaign(config: CampaignConfig | None = None, *,
+def run_campaign(config: CampaignConfig | None = None,
+                 rows: list[ExperimentRow] | None = None, *,
                  journal_path=None, resume: bool = False,
                  jobs: int = 1, triage=None,
                  cache_dir=None) -> CampaignResult:
-    """The full four-experiment evaluation (paper Table 2).
+    """Run a campaign plan; by default the four-experiment evaluation.
 
-    Returns one report per compiler: native methods first, then the
-    three byte-code compilers, mirroring the paper's table rows.  With
+    *rows* is the canonical plan, :func:`campaign_rows` (paper Table
+    2: native methods first, then the three byte-code compilers) when
+    omitted; pass :func:`sequence_campaign_rows` or
+    :func:`stitched_campaign_rows` for the extension corpora.  With
     ``journal_path`` set, completed cells are checkpointed to JSONL;
     ``resume=True`` replays them instead of re-running.  ``jobs > 1``
     shards the cell grid across that many worker processes
     (``jobs=0`` = one per CPU); aggregate reports are byte-identical
-    to a sequential run of the same config.  ``triage`` takes a
+    across ``jobs``.  ``triage`` takes a
     :class:`repro.triage.TriageConfig` to confirm/shrink/dedup the
     run's divergences and emit standalone reproducers
     (``result.triage`` carries the :class:`~repro.triage.TriageReport`).
@@ -800,44 +749,11 @@ def run_campaign(config: CampaignConfig | None = None, *,
     :class:`~repro.incremental.CacheStats`.
     """
     config = config or CampaignConfig()
-    return _run_rows(config, campaign_rows(config),
-                     journal_path=journal_path, resume=resume, jobs=jobs,
-                     triage=triage, cache_dir=cache_dir)
-
-
-def run_sequence_campaign(
-    config: CampaignConfig | None = None, *,
-    journal_path=None, resume: bool = False, jobs: int = 1, triage=None,
-    cache_dir=None,
-) -> CampaignResult:
-    """Extension experiment: the byte-code *sequence* corpus.
-
-    Runs the curated interesting sequences plus the generated minimal
-    producer/consumer pairs through the three byte-code compilers —
-    the paper's future work (Section 7) as a campaign of its own.
-    """
-    config = config or CampaignConfig()
-    return _run_rows(config, sequence_campaign_rows(config),
-                     journal_path=journal_path, resume=resume, jobs=jobs,
-                     triage=triage, cache_dir=cache_dir)
-
-
-def run_stitched_campaign(
-    config: CampaignConfig | None = None, *,
-    journal_path=None, resume: bool = False, jobs: int = 1, triage=None,
-    cache_dir=None,
-) -> CampaignResult:
-    """Extension experiment: the template-stitched method corpus.
-
-    Runs whole-method byte-code tests stitched from
-    constraint-compatible fragment paths (docs/STITCHING.md) through
-    the three byte-code compilers, with the same sharding, journaling
-    and triage semantics as the other campaigns.
-    """
-    config = config or CampaignConfig()
-    return _run_rows(config, stitched_campaign_rows(config),
-                     journal_path=journal_path, resume=resume, jobs=jobs,
-                     triage=triage, cache_dir=cache_dir)
+    if rows is None:
+        rows = campaign_rows(config)
+    return _run_rows(config, rows, journal_path=journal_path,
+                     resume=resume, jobs=jobs, triage=triage,
+                     cache_dir=cache_dir)
 
 
 def _accumulate(report: CompilerReport, result: InstructionTestResult) -> None:

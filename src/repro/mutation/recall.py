@@ -33,7 +33,7 @@ run through the main single-instruction campaign, but defects that
 only fire inside whole methods — C3's dropped spill needs a
 jump-boundary flush with deferred entries pending — are swept through
 the stitched-method corpus instead
-(:func:`repro.difftest.runner.run_stitched_campaign`,
+(:func:`repro.difftest.runner.stitched_campaign_rows`,
 docs/STITCHING.md).  The sweep runs one baseline per corpus per
 budget and compares every mutant against its own corpus's baseline.
 """
@@ -46,7 +46,12 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro import perf
-from repro.difftest.runner import CampaignConfig, run_campaign
+from repro.difftest.runner import (
+    CampaignConfig,
+    campaign_rows,
+    run_campaign,
+    stitched_campaign_rows,
+)
 from repro.mutation import registry
 from repro.triage import TriageConfig
 
@@ -268,12 +273,10 @@ def _cause_digests(triage_report) -> set:
 _BASELINE_PHASES = {"main": "baseline", "stitched": "baseline-stitched"}
 
 
-def _runner_for(corpus: str):
+def _rows_for(config: CampaignConfig, corpus: str) -> list:
     if corpus == "stitched":
-        from repro.difftest.runner import run_stitched_campaign
-
-        return run_stitched_campaign
-    return run_campaign
+        return stitched_campaign_rows(config)
+    return campaign_rows(config)
 
 
 def _corpus_config(config: CampaignConfig, corpus: str) -> CampaignConfig:
@@ -291,12 +294,13 @@ def _corpus_config(config: CampaignConfig, corpus: str) -> CampaignConfig:
     return replace(config, only=only)
 
 
-def _run_one(config: CampaignConfig, *, runner, jobs, journal_dir, resume,
-             phase: str, budget: int, triage: TriageConfig | None,
+def _run_one(config: CampaignConfig, *, corpus: str, jobs, journal_dir,
+             resume, phase: str, budget: int, triage: TriageConfig | None,
              cache_dir=None):
     journal_path, exists = _journal_for(journal_dir, phase, budget)
-    return runner(
+    return run_campaign(
         config,
+        _rows_for(config, corpus),
         jobs=jobs,
         journal_path=journal_path,
         resume=bool(resume and exists),
@@ -378,7 +382,7 @@ def run_recall(
             note(f"{phase} @ budget {budget}"
                  + (" (+triage)" if triage else ""))
             baseline = _run_one(
-                base_config, runner=_runner_for(corpus), jobs=jobs,
+                base_config, corpus=corpus, jobs=jobs,
                 journal_dir=journal_dir, resume=resume, phase=phase,
                 budget=budget, triage=triage, cache_dir=cache_dir,
             )
@@ -405,7 +409,7 @@ def run_recall(
             note(f"mutant {mid} @ budget {budget}")
             start = time.perf_counter()
             mutated = _run_one(
-                mutant_config, runner=_runner_for(corpus), jobs=jobs,
+                mutant_config, corpus=corpus, jobs=jobs,
                 journal_dir=journal_dir, resume=resume,
                 phase=f"mutant-{mid}", budget=budget, triage=triage,
                 cache_dir=cache_dir,

@@ -1,17 +1,17 @@
 """Deterministic merge: cell records -> campaign reports.
 
-Workers complete cells in whatever order scheduling produces; the
-merge erases that nondeterminism by replaying the records against the
-canonical plan — the same row order, the same spec order, the same
-accumulation the sequential engine uses.  Aggregate counts, report row
-ordering and the quarantine section are therefore byte-identical
-between ``-j 1`` and ``-j N`` (asserted by
+Cells complete in shard order, and under ``-j N`` in whatever order
+scheduling produces; the merge erases that by replaying the records
+against the canonical plan — the same row order, the same spec order.
+Every campaign reports through it, whatever its ``-j``, resume or
+cache state, so aggregate counts, report row ordering and the
+quarantine section are byte-identical across them (asserted by
 ``tests/parallel/test_determinism.py``).
 
 Rebuilt cells preserve the full serialized payload — including the
-per-cell retry counts and the triage candidate data (path signatures,
-exit pairs) that ``--triage`` consumes after the merge — so triage
-over a parallel run sees exactly what a sequential run produces.
+per-cell retry counts, exploration and test times, and the triage
+candidate data (path signatures, exit pairs) that ``--triage``
+consumes after the merge.
 """
 
 from __future__ import annotations
@@ -23,19 +23,17 @@ from repro.difftest.runner import (
     _rebuild_cell,
 )
 from repro.robustness.checkpoint import cell_key
-from repro.robustness.quarantine import Quarantine, QuarantineEntry
+from repro.robustness.quarantine import QuarantineEntry
 
 
-def merge_records(rows, records: dict) -> CampaignResult:
-    """Fold ``key -> record`` into reports, in canonical plan order.
+def merge_records(rows, records: dict,
+                  result: CampaignResult) -> CampaignResult:
+    """Fold ``key -> record`` into *result*'s reports, in plan order.
 
     Cells without a record (deadline expired before they ran) are
-    simply absent, mirroring the sequential engine stopping mid-row.
-    Quarantine entries ride inside their cell's record, so the
-    quarantine section also comes out in plan order.
+    simply absent.  Quarantine entries ride inside their cell's
+    record, so the quarantine section also comes out in plan order.
     """
-    result = CampaignResult()
-    quarantine = Quarantine()
     for row in rows:
         report = CompilerReport(compiler=row.label)
         for spec in row.specs:
@@ -46,9 +44,8 @@ def merge_records(rows, records: dict) -> CampaignResult:
                 continue
             _accumulate(report, _rebuild_cell(record))
             if record.get("quarantined"):
-                quarantine.add(
+                result.quarantine.add(
                     QuarantineEntry.from_dict(record["quarantined"])
                 )
         result.append(report)
-    result.quarantine = quarantine
     return result

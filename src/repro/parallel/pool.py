@@ -1,6 +1,10 @@
 """The process pool: a work-stealing shard queue with crash containment.
 
-``jobs`` persistent worker processes are spawned once; each pulls the
+This is the ``-j N`` half of the campaign engine
+(:func:`repro.difftest.runner._run_shards`): the set-up, the shard
+function and the finish are the same as at ``-j 1``; only here the
+shards run in forked workers instead of in process.  ``jobs``
+persistent worker processes are spawned once; each pulls the
 next shard from the parent's dynamic queue whenever it goes idle
 (``("next",)`` -> ``("shard", ...)``), instead of the old static
 one-process-per-shard assignment.  With a warm result cache most
@@ -48,17 +52,18 @@ Failure semantics, composing with the PR-2 robustness layer:
 * **Checkpointing**: workers append their own records to the journal
   (appends are single-``write`` and checksummed, safe under concurrent
   writers); the parent journals only the ``WorkerCrash`` cells it
-  synthesizes.  ``--resume`` therefore works on a journal written by
-  any mix of parallel and sequential runs.
+  synthesizes.  ``--resume`` therefore works on a journal written at
+  any mix of ``-j`` values.
 * **Result cache**: cache *lookups* happen in the parent before
   planning (a fully-warm campaign forks zero workers); cache-missed
   shards carry their cells' fingerprints to the worker, which appends
-  clean results to the store itself (:mod:`repro.incremental.store`).
+  clean results to the store itself (:mod:`repro.incremental.store`)
+  and reports how many it stored with each ``shard_done``.
 * **Triage**: the pool never triages.  ``--triage`` confirmation,
   shrinking and reproducer emission all run in the parent after the
   merge, over the same serialized cell records the workers shipped
   (:mod:`repro.triage`).  Journaled triage state rides in the same
-  file under ``triage::`` keys; the planned-key filter below keeps
+  file under ``triage::`` keys; the runner's planned-key filter keeps
   those records invisible to cell resume.
 """
 
@@ -66,7 +71,6 @@ from __future__ import annotations
 
 import errno
 import multiprocessing
-import os
 import signal
 import sys
 import time
@@ -76,8 +80,6 @@ from multiprocessing import connection
 
 from repro import perf
 from repro.robustness import errors as error_taxonomy
-from repro.robustness.budgets import Deadline
-from repro.robustness.checkpoint import CampaignJournal
 from repro.robustness.errors import (
     BudgetExhausted,
     CampaignError,
@@ -86,15 +88,6 @@ from repro.robustness.errors import (
 )
 from repro.robustness.quarantine import QuarantineEntry
 from repro.robustness.supervise import RespawnBackoff, effective_cell_timeout
-
-
-def resolve_jobs(jobs: int | None) -> int:
-    """``-j 0`` (or None) means one worker per available CPU."""
-    if not jobs:
-        return max(1, os.cpu_count() or 1)
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
-    return jobs
 
 
 #: Errnos a dying worker's pipe is expected to produce; anything else
@@ -157,6 +150,7 @@ class _Worker:
     failure: tuple | None = None
     cache_hits: int = 0
     cache_misses: int = 0
+    stored: int = 0
     perf: dict | None = None
     #: Key of the cell announced by the last ``cell_start`` heartbeat,
     #: and the parent-side monotonic instant it arrived; cleared when
@@ -212,6 +206,7 @@ def _handle_message(entry: _Worker, message, records: dict, pending: deque,
     elif tag == "shard_done":
         entry.cache_hits += message[1]
         entry.cache_misses += message[2]
+        entry.stored += message[3]
         entry.current = None
         entry.cell_key = None
         entry.cell_started = None
@@ -294,46 +289,31 @@ def _charge_lost_cell(entry: _Worker, rows, config, records: dict,
         pending.appendleft(remainder)
 
 
-def run_parallel_rows(config, rows, *, jobs: int, journal_path=None,
-                      resume: bool = False, cached=None, fingerprints=None,
-                      cache_dir=None):
-    """Execute a canonical plan on a worker pool; see module docstring.
+def run_parallel_rows(config, rows, shards, records: dict, result, *,
+                      jobs: int, deadline, journal, store, fingerprints,
+                      cache_dir) -> None:
+    """Serve *shards* from a pool of *jobs* forked workers.
 
-    *cached* maps cell keys to serialized records already served from
-    the result store (parent-side lookups); *fingerprints* maps cell
-    keys to semantic fingerprints so workers can append misses back to
-    the store at *cache_dir*.
+    The parent's set-up and finish live in
+    :func:`repro.difftest.runner._run_shards`; this is only the
+    scheduler.  It adds every record a worker delivers (and every
+    ``WorkerCrash`` record it synthesizes) to *records*, and the run's
+    tallies to *result* and to *store*'s stats: workers append to the
+    store through handles of their own, so their ``stored`` counts
+    arrive in ``shard_done``.  See the module docstring.
     """
-    from repro.parallel.merge import merge_records
-    from repro.parallel.shard import plan_cells, plan_shards
     from repro.parallel.worker import run_worker
 
-    jobs = resolve_jobs(jobs)
-    plan = rows[0].experiment if rows else "main"
-    journal = CampaignJournal(journal_path) if journal_path else None
-    if journal is not None and not resume:
-        journal.path.unlink(missing_ok=True)
-    completed = journal.load() if (journal is not None and resume) else {}
-    planned = {cell.key for cell in plan_cells(rows)}
-    records = {key: rec for key, rec in completed.items() if key in planned}
-    resumed_cells = len(records)
-    cached_cells = 0
-    for key, record in (cached or {}).items():
-        if key in planned and key not in records:
-            records[key] = record
-            cached_cells += 1
-    fingerprints = dict(fingerprints or {})
-
-    deadline = Deadline(config.deadline_seconds)
+    journal_path = journal.path if journal is not None else None
     cell_timeout = effective_cell_timeout(config)
     backoff = RespawnBackoff()
     _reset_pipe_errors()
-    pending: deque = deque(plan_shards(rows, records))
+    pending: deque = deque(shards)
     workers: dict = {}  # process sentinel -> _Worker
     context = multiprocessing.get_context("fork")
     budget_exhausted = False
     failure = None
-    cache_hits = cache_misses = 0
+    cache_hits = cache_misses = stored = 0
     preempted = respawned = 0
     initial_fleet_done = False
     perf_snapshots: list = []
@@ -343,7 +323,7 @@ def run_parallel_rows(config, rows, *, jobs: int, journal_path=None,
         parent_conn, child_conn = context.Pipe(duplex=True)
         process = context.Process(
             target=run_worker,
-            args=(child_conn, plan, config, deadline.remaining(),
+            args=(child_conn, rows, config, deadline.remaining(),
                   journal_path, cache_dir),
             daemon=True,
         )
@@ -356,7 +336,7 @@ def run_parallel_rows(config, rows, *, jobs: int, journal_path=None,
 
     def retire(entry: _Worker) -> None:
         """Fold a finished/kill-ed worker's state into the run totals."""
-        nonlocal cache_hits, cache_misses, failure, budget_exhausted
+        nonlocal cache_hits, cache_misses, stored, failure, budget_exhausted
         _drain(entry, records, pending, fingerprints)
         try:
             entry.conn.close()
@@ -364,6 +344,7 @@ def run_parallel_rows(config, rows, *, jobs: int, journal_path=None,
             _note_pipe_error(error, "close")
         cache_hits += entry.cache_hits
         cache_misses += entry.cache_misses
+        stored += entry.stored
         if entry.perf is not None:
             perf_snapshots.append(entry.perf)
         if entry.failure is not None:
@@ -483,21 +464,13 @@ def run_parallel_rows(config, rows, *, jobs: int, journal_path=None,
         crash_class = getattr(error_taxonomy, error_class, CampaignError)
         raise crash_class(message)
 
-    result = merge_records(rows, records)
     result.budget_exhausted = budget_exhausted
-    result.resumed_cells = resumed_cells
-    result.cached_cells = cached_cells
-    result.journal_path = journal_path
-    result.workers = jobs
     result.cache_hits = cache_hits
     result.cache_misses = cache_misses
     result.preempted_cells = preempted
     result.respawned_workers = respawned
     result.unexpected_io_errors = unexpected_io_errors()
-    result.journal_replay = journal.replay if (journal is not None
-                                               and resume) else None
+    if store is not None:
+        store.stats.stored += stored
     if getattr(config, "profile", False):
-        from repro.perf import merge_snapshots
-
-        result.perf = merge_snapshots(perf_snapshots)
-    return result
+        result.perf = perf.merge_snapshots(perf_snapshots)

@@ -1,27 +1,35 @@
 """The shard planner: instruction-granular slices of the cell grid.
 
-The unit of parallel work is a :class:`Shard` — *every* compiler cell
-of one instruction, in canonical plan order.  That granularity is what
-makes the exploration cache work across processes: concolic
-exploration depends only on the instruction, so a worker that owns all
-of an instruction's cells explores it once and reuses the path
-summaries for each compiler x backend cell, exactly like the
-sequential engine's campaign-wide cache.  Finer sharding (per cell)
-would re-explore per compiler; coarser (per report row) would
-serialize the grid again.
+The unit of campaign work, in process or in a worker, is a
+:class:`Shard` — *every* compiler cell of one instruction, in
+canonical plan order.  That granularity is what makes the exploration
+cache work across processes: concolic exploration depends only on the
+instruction, so whoever runs a shard explores the instruction once and
+reuses the path summaries for each compiler x backend cell.  Finer
+sharding (per cell) would re-explore per compiler; coarser (per
+report row) would serialize the grid again.
 
 Shards are plain data — ``(row_index, spec_index)`` coordinates into
 the canonical plan plus the names that form the journal key — so a
-worker rebuilds its specs from the same
-:func:`~repro.difftest.runner.campaign_rows` plan the parent used,
-whatever the process start method.
+worker addresses its specs in the plan rows it inherited through
+``fork``.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from repro.robustness.checkpoint import cell_key
+
+
+def resolve_jobs(jobs: int | None) -> int:
+    """``-j 0`` (or None) means one worker per available CPU."""
+    if not jobs:
+        return max(1, os.cpu_count() or 1)
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    return jobs
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,7 @@ class Shard:
 
 
 def plan_cells(rows):
-    """Every cell of the canonical plan, row-major (sequential order)."""
+    """Every cell of the canonical plan, row-major (report order)."""
     for row_index, row in enumerate(rows):
         for spec_index, spec in enumerate(row.specs):
             yield Cell(

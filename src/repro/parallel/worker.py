@@ -1,24 +1,29 @@
-"""The worker entrypoint: a persistent cell executor in a child process.
+"""The shard function, and the worker process that serves it.
+
+:func:`serve_shard` is the one loop that runs campaign cells: for each
+cell of a shard it calls the shared
+:func:`~repro.difftest.runner.execute_cell`, quarantines a crash,
+serializes the cell record, appends it to the journal (and a clean
+cell to the result store) and sends it on.  At ``-j 1`` the parent
+calls it in process with its own message handler as ``send``; at
+``-j N`` each worker calls it with its pipe's ``conn.send``.
 
 A worker owns a full OS process, so `guard()`'s in-process crash
 isolation is upgraded to real process isolation: a segfault,
 ``os._exit`` or OOM kill takes out the worker, the parent notices the
 dead process and charges exactly the in-flight cell (see
 :mod:`repro.parallel.pool`).  Everything *recoverable* is still
-handled in-worker with the same retry/quarantine policy as the
-sequential engine, via the shared
-:func:`~repro.difftest.runner.execute_cell`.
+handled in-worker with the same retry/quarantine policy as ``-j 1``.
 
-Since PR 9 workers are *persistent pullers*: one process serves many
-shards, requesting the next one from the parent's dynamic queue
-whenever it goes idle (work stealing — see docs/INCREMENTAL.md).  Each
-shard still gets a fresh :class:`ExplorationCache`, so per-instruction
-exploration sharing is identical to the old one-process-per-shard
-pool, and merge-order determinism is untouched (the parent merges by
-plan order, never by arrival order).
+Workers are *persistent pullers*: one process serves many shards,
+requesting the next one from the parent's dynamic queue whenever it
+goes idle (work stealing — see docs/INCREMENTAL.md).  Each shard gets
+a fresh :class:`ExplorationCache`, so every instruction is explored
+once whatever the worker count, and merge-order determinism is
+untouched (the parent merges by plan order, never by arrival order).
+A worker inherits the parent's plan rows through ``fork``.
 
-The worker streams one message per completed cell back through its
-pipe and appends the same record to the shared journal itself —
+Workers append their records to the shared journal themselves —
 journal appends are concurrency-safe
 (:mod:`repro.robustness.checkpoint`), and worker-side appends mean a
 parent crash loses nothing a worker finished.  With a result cache
@@ -27,22 +32,25 @@ to the persistent store under their semantic fingerprint
 (:mod:`repro.incremental.store` — same O_APPEND+CRC discipline, safe
 under concurrent workers).
 
-Wire protocol, all plain picklable data.  Worker -> parent:
+Wire protocol, all plain picklable data.  Shard function -> parent:
+
+* ``("cell_start", key)`` — heartbeat: the cell about to run.  The
+  pool's supervisor starts the per-cell wall clock here; a cell whose
+  record never follows within ``--cell-timeout`` gets its worker
+  SIGKILLed (:mod:`repro.robustness.supervise`);
+* ``("cell", key, record)`` — one completed (or quarantined) cell.
+  The record's comparison entries also carry the triage candidate
+  payload (path constraint signatures, exit pairs, operand shapes,
+  retry counts); the parent runs the whole ``--triage`` pipeline over
+  these serialized records (:mod:`repro.triage`), which is what keeps
+  triage output identical across ``-j`` values;
+* ``("shard_done", cache_hits, cache_misses, stored)`` — one shard
+  finished: its exploration-cache accounting and the cells it put in
+  the result store.
+
+Worker -> parent, around the shards:
 
 * ``("next",)`` — the worker is idle and wants a shard;
-* ``("cell_start", key)`` — heartbeat: the worker is about to execute
-  this cell.  The parent's supervisor starts the per-cell wall clock
-  here; a cell whose record never follows within ``--cell-timeout``
-  gets its worker SIGKILLed (:mod:`repro.robustness.supervise`);
-* ``("cell", key, record)`` — one completed (or quarantined) cell.
-  Since PR 5 the record's comparison entries also carry the triage
-  candidate payload (path constraint signatures, exit pairs, operand
-  shapes, retry counts) — workers never confirm or shrink; the parent
-  runs the whole ``--triage`` pipeline over these serialized records
-  (:mod:`repro.triage`), which is what keeps triage output identical
-  across ``-j`` values;
-* ``("shard_done", cache_hits, cache_misses)`` — one shard finished;
-  the exploration-cache accounting for it;
 * ``("budget", message)`` — the campaign deadline expired in-worker;
   the shard's remaining cells were not run;
 * ``("fail", error_class, message)`` — ``fail_fast`` is set and a cell
@@ -75,53 +83,26 @@ from repro.robustness.quarantine import QuarantineEntry
 from repro.robustness.supervise import apply_worker_rlimits
 
 
-def resolve_rows(plan: str, config):
-    """Rebuild the canonical plan inside the worker process.
-
-    The plan is a pure function of the config, so parent and worker
-    independently derive identical rows; shards address into them by
-    ``(row_index, spec_index)``.
-    """
-    from repro.difftest.runner import (
-        campaign_rows,
-        sequence_campaign_rows,
-        stitched_campaign_rows,
-    )
-
-    if plan == "main":
-        return campaign_rows(config)
-    if plan == "sequences":
-        return sequence_campaign_rows(config)
-    if plan == "stitched":
-        # The stitched corpus is memoized per budget; workers are
-        # forked, so they inherit the parent's memo and resolve the
-        # plan without re-deriving templates (see repro.stitch.corpus).
-        return stitched_campaign_rows(config)
-    raise ValueError(f"unknown campaign plan {plan!r}")
-
-
-def run_worker(conn, plan: str, config, remaining_seconds, journal_path,
+def run_worker(conn, rows, config, remaining_seconds, journal_path,
                cache_dir=None) -> None:
     """Serve shards pulled from *conn* until the parent says stop.
 
-    ``config.mutants`` crosses the fork boundary inside the pickled
-    config; activating it here (reference-counted, so the per-cell
-    activation inside ``execute_cell`` nests) makes every shard —
-    including plan resolution and the shared exploration cache — run
-    under the same mutated semantics as a sequential campaign of the
-    same config (see docs/MUTATION.md).
+    ``config.mutants`` crosses the fork boundary with the config;
+    activating it here (reference-counted, so the per-cell activation
+    inside ``execute_cell`` nests) keeps the whole worker under the
+    same mutated semantics as an in-process run of the same config
+    (see docs/MUTATION.md).
     """
     from repro.mutation import activated
 
     with activated(getattr(config, "mutants", ())):
-        _run_worker_activated(conn, plan, config, remaining_seconds,
+        _run_worker_activated(conn, rows, config, remaining_seconds,
                               journal_path, cache_dir)
 
 
-def _run_worker_activated(conn, plan: str, config, remaining_seconds,
+def _run_worker_activated(conn, rows, config, remaining_seconds,
                           journal_path, cache_dir) -> None:
     apply_worker_rlimits(config)
-    rows = resolve_rows(plan, config)
     deadline = Deadline(remaining_seconds)
     journal = CampaignJournal(journal_path) if journal_path else None
     store = None
@@ -141,8 +122,16 @@ def _run_worker_activated(conn, plan: str, config, remaining_seconds,
             if message[0] == "stop":
                 break
             _tag, shard, fingerprints = message
-            if not _serve_shard(conn, rows, config, deadline, journal,
-                                store, shard, fingerprints):
+            try:
+                serve_shard(conn.send, rows, config, deadline, journal,
+                            store, shard, fingerprints)
+            except BudgetExhausted as exc:
+                conn.send(("budget", str(exc)))
+                return
+            except CampaignError as exc:
+                # Only reachable with fail_fast: hand the classified
+                # error to the parent for re-raising.
+                conn.send(("fail", exc.error_class, str(exc)))
                 return
             conn.send(("next",))
         if perf.enabled():
@@ -156,29 +145,25 @@ def _run_worker_activated(conn, plan: str, config, remaining_seconds,
         conn.close()
 
 
-def _serve_shard(conn, rows, config, deadline, journal, store, shard,
-                 fingerprints) -> bool:
-    """One shard, cell by cell; False = fatal, the worker must exit."""
+def serve_shard(send, rows, config, deadline, journal, store, shard,
+                fingerprints) -> None:
+    """Run one shard's cells in plan order, sending each record.
+
+    A campaign-scoped :class:`BudgetExhausted`, and under
+    ``fail_fast`` a cell's crash, propagate to the caller.
+    """
     # One cache per shard = one exploration per instruction, shared by
     # every compiler cell of the shard (the shard planner guarantees a
     # shard never spans instructions).
     cache = ExplorationCache()
+    before = store.stats.stored if store is not None else 0
     for cell in shard.cells:
         row = rows[cell.row_index]
         spec = row.specs[cell.spec_index]
         compiler_class = row.compiler_class
-        conn.send(("cell_start", cell.key))
-        try:
-            result, error = execute_cell(config, deadline, spec,
-                                         compiler_class, cache)
-        except BudgetExhausted as exc:
-            conn.send(("budget", str(exc)))
-            return False
-        except CampaignError as exc:
-            # Only reachable with fail_fast: hand the classified
-            # error to the parent for re-raising.
-            conn.send(("fail", exc.error_class, str(exc)))
-            return False
+        send(("cell_start", cell.key))
+        result, error = execute_cell(config, deadline, spec,
+                                     compiler_class, cache)
         entry = None
         if error is not None:
             entry = QuarantineEntry.from_error(
@@ -192,16 +177,16 @@ def _serve_shard(conn, rows, config, deadline, journal, store, shard,
         record = _serialize_cell(cell.key, result, entry)
         if journal is not None:
             journal.append(record)
-        if (store is not None and error is None
-                and getattr(result, "retries", 0) == 0
-                and not getattr(result.exploration, "budget_exhausted",
-                                False)):
+        if (store is not None and error is None and result.retries == 0
+                and not result.exploration.budget_exhausted):
+            # Only clean first-attempt cells with a complete exploration
+            # enter the cross-run store; quarantines, retried cells and
+            # budget-truncated explorations always re-run.
             fingerprint = fingerprints.get(cell.key)
             if fingerprint:
                 store.put(fingerprint, record)
-        conn.send(("cell", cell.key, record))
-    if perf.enabled():
-        perf.incr("explore.cache_hits", cache.hits)
-        perf.incr("explore.cache_misses", cache.misses)
-    conn.send(("shard_done", cache.hits, cache.misses))
-    return True
+        send(("cell", cell.key, record))
+    perf.incr("explore.cache_hits", cache.hits)
+    perf.incr("explore.cache_misses", cache.misses)
+    stored = store.stats.stored - before if store is not None else 0
+    send(("shard_done", cache.hits, cache.misses, stored))

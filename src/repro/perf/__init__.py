@@ -16,11 +16,11 @@ Design constraints, in order:
    wall-clock; it must never influence which model a solver returns or
    which paths an explorer finds.  Campaign reports are byte-identical
    with profiling on and off (asserted by ``tests/perf``).
-3. **Engine-agnostic.**  The sequential engine snapshots the
-   process-global recorder; each parallel worker snapshots its own and
+3. **The same at every ``-j``.**  The campaign snapshots the parent's
+   process-global recorder; each pool worker snapshots its own and
    ships the dict over its result pipe, where
-   :func:`merge_snapshots` folds them (counters and timers sum,
-   gauges take the max across workers).
+   :func:`merge_snapshots` folds them with the parent's (counters and
+   timers sum, gauges take the max across processes).
 
 Snapshots are plain dicts (JSON-serializable) with four sections:
 ``counters`` (monotonic event counts), ``timers`` (seconds per stage),

@@ -28,9 +28,9 @@ Three small, separately testable pieces, all consumed by
   by exit code and classifies the same way instead of as a generic
   ``WorkerCrash``.
 
-The sequential engine (``-j 1``) runs cells in-process and keeps
-relying on the cooperative deadline checks; per-cell preemption needs
-process isolation and is therefore a `-j N` feature.
+At ``-j 1`` the shards run in process and rely on the cooperative
+deadline checks; per-cell preemption needs process isolation and is
+therefore a `-j N` feature.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ reaches the report.
    and re-executes it once at emission time as self-verification.
 
 Triage always runs in the *parent* process over the serialized cell
-records both engines produce (workers ship candidate payloads inside
-the existing ``("cell", ...)`` pipe records), so its output is
+records every ``-j`` produces (the shard function ships candidate
+payloads inside its ``("cell", ...)`` records), so its output is
 byte-identical across ``-j`` values and across kill/``--resume``
 cycles.  Finished causes are persisted into the campaign journal under
 the ``triage::`` key namespace; ``--resume`` replays them instead of

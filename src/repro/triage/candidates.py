@@ -3,8 +3,8 @@
 Candidates are built from :class:`ComparisonResult` verdicts and
 quarantine entries — the exact data that already travels over the
 worker pipe and through the journal — never from live paths or heaps.
-That is what makes triage engine-independent: a sequential run, a
-parallel run and a ``--resume`` replay of the same campaign yield the
+That is what makes triage independent of ``-j``: an in-process run,
+a pool run and a ``--resume`` replay of the same campaign yield the
 same candidate list in the same canonical plan order.
 """
 

@@ -1,8 +1,8 @@
 """The triage engine: confirm → shrink → dedup → emit, with resume.
 
 Runs in the parent process over the campaign's serialized verdicts
-(see :mod:`repro.triage.candidates`), so the pipeline is identical for
-the sequential engine, the parallel pool, and journal replays.
+(see :mod:`repro.triage.candidates`), so the pipeline is identical at
+every ``-j`` and for journal replays.
 
 Persistence: each finished cause bucket is appended to the campaign
 journal under ``triage::<digest>`` (same encoding, checksumming and

@@ -17,8 +17,8 @@ from repro.difftest.report import format_table2, format_table3
 from repro.difftest.runner import (
     CampaignConfig,
     run_campaign,
-    run_sequence_campaign,
-    run_stitched_campaign,
+    sequence_campaign_rows,
+    stitched_campaign_rows,
 )
 from repro.jit.machine.x86 import X86Backend
 from tests.robustness.test_campaign_resilience import cell_summaries
@@ -35,6 +35,15 @@ def cache_dir(tmp_path):
 
 
 class TestWarmEqualsCold:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_run_counts_every_stored_cell(self, cache_dir, jobs):
+        """At -j 2 the workers store the cells through store handles of
+        their own; their counts still reach the parent's stats."""
+        cold = run_campaign(CONFIG, jobs=jobs, cache_dir=cache_dir)
+        assert cold.cache.misses == CELLS
+        assert cold.cache.stored == CELLS
+        assert run_campaign(CONFIG, cache_dir=cache_dir).cache.hits == CELLS
+
     def test_sequential_warm_is_byte_identical(self, cache_dir):
         cold = run_campaign(CONFIG, cache_dir=cache_dir)
         assert cold.cache.misses == CELLS
@@ -72,10 +81,11 @@ class TestWarmEqualsCold:
 
     def test_sequence_and_stitched_campaigns_cache_too(self, cache_dir):
         small = replace(CONFIG, stitch_fragments=6, stitch_max_methods=4)
-        for runner in (run_sequence_campaign, run_stitched_campaign):
-            cold = runner(small, cache_dir=cache_dir)
+        for plan in (sequence_campaign_rows, stitched_campaign_rows):
+            rows = plan(small)
+            cold = run_campaign(small, rows, cache_dir=cache_dir)
             assert cold.cache.misses > 0
-            warm = runner(small, cache_dir=cache_dir)
+            warm = run_campaign(small, rows, cache_dir=cache_dir)
             assert warm.cache.misses == 0
             assert warm.cache.hits == cold.cache.misses
             assert format_table2(warm) == format_table2(cold)

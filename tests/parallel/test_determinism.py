@@ -19,7 +19,7 @@ from repro.difftest.runner import (
     CampaignConfig,
     bytecode_specs,
     run_campaign,
-    run_sequence_campaign,
+    sequence_campaign_rows,
 )
 from repro.jit.machine.x86 import X86Backend
 from repro.robustness.faults import FaultPlan, inject_faults
@@ -63,8 +63,9 @@ class TestByteIdenticalReports:
         assert parallel.cache_misses == baseline.cache_misses
 
     def test_sequence_campaign_parallel_matches_sequential(self):
-        sequential = run_sequence_campaign(CONFIG)
-        parallel = run_sequence_campaign(CONFIG, jobs=4)
+        rows = sequence_campaign_rows(CONFIG)
+        sequential = run_campaign(CONFIG, rows)
+        parallel = run_campaign(CONFIG, rows, jobs=4)
         assert format_table2(parallel) == format_table2(sequential)
         assert cell_summaries(parallel) == cell_summaries(sequential)
 

@@ -138,6 +138,11 @@ class TestCampaignParity:
         assert plain.perf is None
         assert profiled.perf is not None
         assert profiled.perf["counters"]["solver.solve_calls"] > 0
+        # Counted once, as under -j 2 below.
+        assert profiled.perf["counters"]["explore.cache_hits"] == \
+            profiled.cache_hits == 4
+        assert profiled.perf["counters"]["explore.cache_misses"] == \
+            profiled.cache_misses == 3
         # Profiling leaves no recorder behind.
         assert not perf.enabled()
 

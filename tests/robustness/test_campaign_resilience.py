@@ -142,8 +142,10 @@ class TestCrashIsolation:
         plan = FaultPlan(stage="compile", instruction=TARGET_INSTRUCTION,
                          compiler=TARGET_COMPILER)
         with inject_faults(plan):
-            with pytest.raises(CompilerCrash):
+            with pytest.raises(CompilerCrash) as excinfo:
                 run_campaign(config)
+        # The cell's own exception, not one rebuilt from its class name.
+        assert excinfo.value.original is not None
 
 
 class TestCheckpointResume:

@@ -13,7 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.difftest.report import format_table2
-from repro.difftest.runner import CampaignConfig, run_stitched_campaign
+from repro.difftest.runner import (
+    CampaignConfig,
+    run_campaign,
+    stitched_campaign_rows,
+)
 from repro.mutation.recall import campaign_fingerprint, run_recall
 
 #: Small but real: enough corpus for the C3-catching stitches to be
@@ -25,9 +29,13 @@ CONFIG = CampaignConfig(
 )
 
 
+def stitched_campaign(config, **kwargs):
+    return run_campaign(config, stitched_campaign_rows(config), **kwargs)
+
+
 @pytest.fixture(scope="module")
 def sequential():
-    return run_stitched_campaign(CONFIG)
+    return stitched_campaign(CONFIG)
 
 
 class TestStitchedCampaign:
@@ -47,7 +55,7 @@ class TestStitchedCampaign:
                 assert cell.instruction.startswith("stitch:")
 
     def test_byte_identical_across_jobs(self, sequential):
-        parallel = run_stitched_campaign(CONFIG, jobs=2)
+        parallel = stitched_campaign(CONFIG, jobs=2)
         assert campaign_fingerprint(parallel) == campaign_fingerprint(
             sequential
         )
@@ -55,8 +63,8 @@ class TestStitchedCampaign:
 
     def test_byte_identical_across_resume(self, sequential, tmp_path):
         journal = str(tmp_path / "stitched.jsonl")
-        first = run_stitched_campaign(CONFIG, journal_path=journal)
-        resumed = run_stitched_campaign(
+        first = stitched_campaign(CONFIG, journal_path=journal)
+        resumed = stitched_campaign(
             CONFIG, journal_path=journal, resume=True
         )
         assert resumed.resumed_cells > 0
