@@ -24,7 +24,11 @@ from repro import (
     explore_native_method,
     primitive_named,
 )
-from repro.difftest.report import exploration_times, format_distributions
+from repro.difftest.report import (
+    exploration_times,
+    format_distributions,
+    in_milliseconds,
+)
 
 
 def test_fig6_bytecode_exploration_time(benchmark):
@@ -47,8 +51,8 @@ def test_fig6_distributions(benchmark, explorations):
     write_artifact(
         "fig6_concolic_time.txt",
         format_distributions(
-            "Concolic exploration seconds per instruction (Fig. 6)",
-            distributions,
+            "Concolic exploration milliseconds per instruction (Fig. 6)",
+            in_milliseconds(distributions),
         ),
     )
     write_json_artifact("fig6_concolic_time", distribution_payload(distributions))

@@ -25,7 +25,7 @@ from repro import (
     bytecode_named,
 )
 from repro.difftest.runner import test_instruction as run_instruction_test
-from repro.difftest.report import format_distributions
+from repro.difftest.report import format_distributions, in_milliseconds
 from repro.difftest.report import test_times as collect_test_times
 from repro.difftest.runner import CampaignConfig
 
@@ -46,8 +46,8 @@ def test_fig7_distributions(benchmark, campaign):
     write_artifact(
         "fig7_test_time.txt",
         format_distributions(
-            "Differential test seconds per instruction (Fig. 7)",
-            distributions,
+            "Differential test milliseconds per instruction (Fig. 7)",
+            in_milliseconds(distributions),
         ),
     )
     write_json_artifact("fig7_test_time", distribution_payload(distributions))

@@ -192,10 +192,16 @@ class ExplorationCache:
     Only *full-budget* explorations are cached; reduced-budget retry
     explorations stay private to their cell so a cache never serves
     truncated path sets to healthy cells.
+
+    Beside each exploration the cache keeps the instruction's
+    :class:`VMWorld`, in which the differential harness checks every
+    compiler cell of the shard; it lives exactly as long as the shard
+    (or triage trial) that created the cache.
     """
 
     def __init__(self) -> None:
         self._entries: dict = {}
+        self._worlds: dict = {}
         self.hits = 0
         self.misses = 0
 
@@ -213,8 +219,69 @@ class ExplorationCache:
     def put(self, spec, exploration: "ExplorationResult") -> None:
         self._entries[self._key(spec)] = exploration
 
+    def world(self, spec) -> "VMWorld":
+        """The shard's world for *spec*, built on first use."""
+        key = self._key(spec)
+        world = self._worlds.get(key)
+        if world is None:
+            world = self._worlds[key] = VMWorld(spec)
+        return world
+
     def __len__(self) -> int:
         return len(self._entries)
+
+
+class VMWorld:
+    """The VM state one instruction is differentially tested in.
+
+    Bootstrapped memory, symbol table, synthesized method, solver
+    context and a copy-on-write base mark, built in the explorer's
+    order, so the base heap equals the explorer's word for word and a
+    model materializes at the same addresses in both: the output
+    exploration recorded for a path is the output the same inputs give
+    here.  Every compiler and backend of a shard tests in one world
+    (:meth:`ExplorationCache.world`); each comparison rewinds the heap
+    to :attr:`base_mark` before it materializes its inputs, so nothing
+    one comparison writes reaches the next.
+    """
+
+    def __init__(self, spec) -> None:
+        self.spec = spec
+        self.memory, _known = bootstrap_memory(
+            heap_words=8 * 1024, memory_class=SymbolicObjectMemory
+        )
+        self.symbols = SymbolTable(self.memory)
+        self.method = spec.build_method(self.memory, self.symbols)
+        self.context = SolverContext.from_memory(self.memory)
+        self.base_mark = self.memory.heap.start_journal()
+        #: Built on first use: only a path with no recorded output runs it.
+        self.interpreter: Interpreter | None = None
+        perf.incr("test.worlds")
+
+    def materialize(self, model: Model):
+        """Rewind to the base state and build *model*'s input frame.
+
+        Returns the frame and a checkpoint of the input state.
+        """
+        heap = self.memory.heap
+        heap.rewind(self.base_mark)
+        self.memory.reset_registry()
+        frame = Materializer(self.memory, model).materialize_frame(self.method)
+        return frame, heap.checkpoint()
+
+    def interpret(self, frame, input_mark) -> tuple:
+        """Run the interpreter on a materialized frame.
+
+        Returns the ``(ExitResult, OutputSnapshot)`` pair exploration
+        records for a path, captured against *input_mark*.
+        """
+        if self.interpreter is None:
+            self.interpreter = Interpreter(self.memory, self.symbols)
+        exit_result = self.spec.execute(self.interpreter, frame)
+        output = OutputSnapshot.capture_cow(
+            self.memory, frame, exit_result, input_mark
+        )
+        return exit_result, output
 
 
 # ======================================================================

@@ -87,10 +87,6 @@ class OutputSnapshot:
     returned: ValueDescriptor | None = None
 
     @classmethod
-    def capture(cls, memory, frame, exit_result, heap_before) -> "OutputSnapshot":
-        return cls._capture(memory, frame, exit_result, memory.heap.diff(heap_before))
-
-    @classmethod
     def capture_cow(cls, memory, frame, exit_result, mark) -> "OutputSnapshot":
         """Capture against a copy-on-write heap checkpoint.
 
@@ -99,12 +95,6 @@ class OutputSnapshot:
         in time proportional to the writes the instruction made rather
         than the heap size.
         """
-        return cls._capture(
-            memory, frame, exit_result, memory.heap.writes_since(mark)
-        )
-
-    @classmethod
-    def _capture(cls, memory, frame, exit_result, heap_writes) -> "OutputSnapshot":
         returned = None
         if exit_result.returned_value is not None:
             returned = describe_value(memory, exit_result.returned_value)
@@ -116,7 +106,7 @@ class OutputSnapshot:
             ],
             receiver=describe_value(memory, frame.receiver),
             pc=frame.pc,
-            heap_writes=heap_writes,
+            heap_writes=memory.heap.writes_since(mark),
             returned=returned,
         )
 

@@ -1,24 +1,34 @@
 """The differential execution harness.
 
-One :class:`DifferentialTester` owns a VM world (object memory, symbol
-table, interpreter, concolic explorer artifacts) plus, per back-end, a
-code cache, trampoline table (with the runtime service routines
-registered) and CPU simulator.
+A :class:`DifferentialTester` checks one compiler on one back-end
+against the interpreter.  It owns only what differs per compiler and
+back-end: a code cache, a trampoline table (with the runtime service
+routines registered), a CPU simulator and the compiler.  The VM state
+it tests in (object memory, symbol table, synthesized method, solver
+context) is the instruction's :class:`~repro.concolic.explorer.VMWorld`,
+which the campaign shares between every compiler cell of a shard.
 
-For each concolic path the harness:
+For each concolic path the harness (paper Fig. 1, step 4):
 
-1. materializes the path's solver model into concrete VM state;
-2. runs the interpreter on it and snapshots the observable effects;
-3. rolls the heap back, compiles the instruction (input operand stack
-   compiled in as pushed literals, per paper Section 4.2), sets up the
-   machine frame per the compiler's convention — receiver/temps in the
-   frame record for byte-codes, receiver+arguments in registers for
-   native methods — and runs the simulator from the same heap state;
-4. compares exits, values and heap effects.
+1. takes the interpreter's exit and output that exploration recorded
+   for the path (``PathResult.exit`` / ``PathResult.output``) as the
+   reference.  A path with no recorded output, or a run with an
+   overriding model, is interpreted once in the world instead, which
+   yields the same ``(ExitResult, OutputSnapshot)`` pair;
+2. records an expected failure (invalid frame, invalid memory) without
+   compiling anything;
+3. rewinds the world's heap to its base state, materializes the path's
+   model, compiles the instruction (input operand stack compiled in as
+   pushed literals, per paper Section 4.2), sets up the machine frame
+   per the compiler's convention (receiver/temps in the frame record
+   for byte-codes, receiver+arguments in registers for native methods)
+   and runs the simulator from the materialized input state;
+4. compares exits, values and heap effects with the reference.
 
-Because both executions start from the *same* heap snapshot and
-allocate deterministically, freshly allocated results land at identical
-addresses and raw oop comparison is exact.
+The world's base heap equals the explorer's word for word and both
+allocate deterministically, so inputs land at the addresses they had
+during exploration, fresh results at identical addresses, and raw oop
+comparison is exact.
 """
 
 from __future__ import annotations
@@ -26,14 +36,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.bytecode.methods import SymbolTable
-from repro.concolic.explorer import (
-    BytecodeInstructionSpec,
-    NativeMethodSpec,
-    PathResult,
-)
-from repro.concolic.materialize import Materializer
-from repro.concolic.symbolic_memory import SymbolicObjectMemory
+from repro import perf
+from repro.concolic.explorer import PathResult, VMWorld
+from repro.concolic.snapshots import OutputSnapshot
 from repro.concolic.values import oop_concrete
 from repro.errors import (
     CompilerError,
@@ -41,7 +46,6 @@ from repro.errors import (
     SimulationError,
 )
 from repro.interpreter.exits import ExitCondition, ExitResult
-from repro.interpreter.interpreter import Interpreter
 from repro.jit.compiler import (
     CompilationUnit,
     NATIVE_FAILURE_MARKER,
@@ -56,7 +60,6 @@ from repro.jit.machine.simulator import (
     STACK_TOP,
     TrampolineTable,
 )
-from repro.memory.bootstrap import bootstrap_memory
 from repro.memory.layout import WORD_SIZE
 from repro.robustness.errors import BudgetExhausted, guard
 from repro.robustness.faults import maybe_inject
@@ -221,17 +224,17 @@ class DifferentialTester:
 
     def __init__(self, spec, backend, compiler_class, *,
                  max_sim_steps: int = 20_000, deadline=None,
-                 fault_describer_gaps: tuple = ()) -> None:
+                 fault_describer_gaps: tuple = (), world=None) -> None:
         self.spec = spec
         self.backend = backend
         self.max_sim_steps = max_sim_steps
         self.deadline = deadline
-        self.memory, self.known = bootstrap_memory(
-            heap_words=8 * 1024, memory_class=SymbolicObjectMemory
-        )
-        self.symbols = SymbolTable(self.memory)
-        self.interpreter = Interpreter(self.memory, self.symbols)
-        self.method = spec.build_method(self.memory, self.symbols)
+        #: The instruction's VM state: the shard's, or a private one.
+        self.world = world if world is not None else VMWorld(spec)
+        self.memory = self.world.memory
+        self.symbols = self.world.symbols
+        self.method = self.world.method
+        self.context = self.world.context
         self.code_cache = CodeCache()
         self.trampolines = TrampolineTable()
         self._register_services()
@@ -242,10 +245,6 @@ class DifferentialTester:
         self.compiler = compiler_class(
             self.memory, self.trampolines, self.code_cache, backend, self.symbols
         )
-        from repro.concolic.solver import SolverContext
-
-        self.context = SolverContext.from_memory(self.memory)
-        self._base_heap = self.memory.heap.snapshot()
 
     # ------------------------------------------------------------------
     # runtime service routines (Cogit's ceXxx helpers)
@@ -290,9 +289,11 @@ class DifferentialTester:
     def run_path(self, path: PathResult, model=None) -> ComparisonResult:
         """Differentially execute one concolic path.
 
-        ``model`` overrides the path's own input model; boundary-witness
-        enrichment passes alternative solutions of the same path
-        condition through here.
+        The reference is the exit and output exploration recorded for
+        the path.  ``model`` overrides the path's own input model
+        (boundary-witness enrichment passes alternative solutions of
+        the same path condition through here); such a run, and a path
+        with no recorded output, interprets its reference in the world.
         """
         result = ComparisonResult(
             instruction=self.spec.name,
@@ -302,54 +303,38 @@ class DifferentialTester:
             status=Status.MATCH,
             path=path,
         )
-        memory = self.memory
-        memory.heap.restore(self._base_heap)
-        memory._registry.clear()
-
-        # --- materialize the shared input state -----------------------
+        recorded = model is None and getattr(path, "output", None) is not None
         with guard("harness"):
             maybe_inject("harness", self.spec.name, self.compiler.name,
                          deadline=self.deadline)
-            materializer = Materializer(memory, model if model is not None
-                                        else path.model)
-            frame = materializer.materialize_frame(self.method)
-        input_heap = memory.heap.snapshot()
-        input_stack = [oop_concrete(value) for value in frame.stack]
-        input_temps = [oop_concrete(value) for value in frame.temps]
-        receiver = oop_concrete(frame.receiver)
+        # Counted at 0 too, so --profile shows a harness that never
+        # re-interpreted.
+        perf.incr("test.interpretations", 0 if recorded else 1)
 
-        # --- interpreter reference execution --------------------------
-        interp_exit = self.spec.execute(self.interpreter, frame)
+        # --- the interpreter reference ----------------------------------
+        if recorded:
+            interp_exit, output = path.exit, path.output
+        else:
+            frame, input_mark, inputs = self._materialize(
+                path.model if model is None else model
+            )
+            interp_exit, output = self.world.interpret(frame, input_mark)
         result.interpreter_exit = interp_exit
-        interp_stack = [oop_concrete(value) for value in frame.stack]
-        interp_temps = [
-            oop_concrete(value) if value is not None else None
-            for value in frame.temps
-        ]
-        interp_pc = frame.pc
-        interp_heap_diff = memory.heap.diff(input_heap)
-        interp_returned = (
-            oop_concrete(interp_exit.returned_value)
-            if interp_exit.returned_value is not None
-            else None
-        )
 
         # --- expected failures are recorded, not compared ---------------
         # Invalid-frame / invalid-memory exits feed the concolic engine
         # ("subsequent executions need extra elements") and are expected
         # failures in the test runner (paper Section 3.4).
-        if interp_exit.condition.is_expected_failure and self.spec.kind != "native":
+        if self._expected_failure(interp_exit.condition):
             result.status = Status.EXPECTED_FAILURE
             return result
-        if self.spec.kind == "native" and interp_exit.condition in (
-            ExitCondition.INVALID_FRAME,
-            ExitCondition.NEEDS_GARBAGE_COLLECTION,
-        ):
-            result.status = Status.EXPECTED_FAILURE
-            return result
+        if recorded:
+            _frame, input_mark, inputs = self._materialize(path.model)
+        receiver, input_stack, input_temps = inputs
+        heap = self.memory.heap
 
         # --- compile ----------------------------------------------------
-        memory.heap.restore(input_heap)
+        heap.rewind(input_mark)  # undoes an interpreted reference
         unit = CompilationUnit(
             method=self.method,
             bytecode=getattr(self.spec, "bytecode", None),
@@ -376,7 +361,7 @@ class DifferentialTester:
         # --- machine execution -----------------------------------------
         # Compilation may intern trampoline metadata but must not touch
         # the heap; re-assert the input state for the machine run.
-        memory.heap.restore(input_heap)
+        heap.rewind(input_mark)
         try:
             with guard("simulator", expected=(SimulationError,)):
                 maybe_inject("simulate", self.spec.name, self.compiler.name,
@@ -398,24 +383,34 @@ class DifferentialTester:
                 scope="campaign",
             )
         result.machine_outcome = outcome
-        machine_heap_diff = memory.heap.diff(input_heap)
+        machine_heap_writes = heap.writes_since(input_mark)
         machine_temps = self._read_machine_temps(len(input_temps))
 
         # --- compare ----------------------------------------------------
-        self._compare(
-            result,
-            interp_exit,
-            interp_stack,
-            interp_temps,
-            interp_pc,
-            interp_heap_diff,
-            interp_returned,
-            outcome,
-            machine_stack,
-            machine_temps,
-            machine_heap_diff,
-        )
+        self._compare(result, interp_exit, output, outcome, machine_stack,
+                      machine_temps, machine_heap_writes)
         return result
+
+    def _materialize(self, model):
+        """The world's input state for *model*: the frame, a checkpoint
+        of the input heap, and the concrete receiver, stack and temps
+        as materialized, before either engine runs."""
+        with guard("harness"):
+            frame, input_mark = self.world.materialize(model)
+        inputs = (
+            oop_concrete(frame.receiver),
+            [oop_concrete(value) for value in frame.stack],
+            [oop_concrete(value) for value in frame.temps],
+        )
+        return frame, input_mark, inputs
+
+    def _expected_failure(self, condition: ExitCondition) -> bool:
+        if self.spec.kind == "native":
+            return condition in (
+                ExitCondition.INVALID_FRAME,
+                ExitCondition.NEEDS_GARBAGE_COLLECTION,
+            )
+        return condition.is_expected_failure
 
     # ------------------------------------------------------------------
 
@@ -472,24 +467,22 @@ class DifferentialTester:
 
     # ------------------------------------------------------------------
 
-    def _compare(
-        self,
-        result,
-        interp_exit,
-        interp_stack,
-        interp_temps,
-        interp_pc,
-        interp_heap_diff,
-        interp_returned,
-        outcome,
-        machine_stack,
-        machine_temps,
-        machine_heap_diff,
-    ) -> None:
+    def _compare(self, result, interp_exit: ExitResult,
+                 output: OutputSnapshot, outcome, machine_stack,
+                 machine_temps, machine_heap_writes) -> None:
         def differ(kind: str, detail: str) -> None:
             result.status = Status.DIFFERENCE
             result.difference_kind = kind
             result.detail = detail
+
+        interp_stack = [value.concrete for value in output.stack]
+        interp_temps = [
+            None if value is None else value.concrete for value in output.temps
+        ]
+        interp_pc = output.pc
+        interp_returned = (
+            None if output.returned is None else output.returned.concrete
+        )
 
         if outcome.kind == OutcomeKind.FAULT:
             differ("machine_fault", outcome.fault_reason or "fault")
@@ -577,9 +570,9 @@ class DifferentialTester:
                 differ("exit_mismatch", f"unexpected bytecode exit {condition}")
                 return
 
-        if interp_heap_diff != machine_heap_diff:
+        if output.heap_writes != machine_heap_writes:
             differ(
                 "heap_effect_mismatch",
-                f"{len(interp_heap_diff)} interpreter writes vs "
-                f"{len(machine_heap_diff)} machine writes",
+                f"{len(output.heap_writes)} interpreter writes vs "
+                f"{len(machine_heap_writes)} machine writes",
             )

@@ -175,6 +175,18 @@ def test_times(reports: list[CompilerReport]) -> dict[str, Distribution]:
     return by_compiler
 
 
+def in_milliseconds(distributions: dict) -> dict[str, Distribution]:
+    """Figures 6 and 7 for display: the same series in milliseconds.
+
+    Per-instruction times are a few milliseconds, which two decimals of
+    a second would print as 0.00.
+    """
+    return {
+        label: Distribution(dist.label, [1000.0 * value for value in dist.values])
+        for label, dist in distributions.items()
+    }
+
+
 def format_distributions(title: str, distributions: dict) -> str:
     lines = [title]
     for label in sorted(distributions):

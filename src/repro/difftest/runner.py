@@ -8,7 +8,9 @@ architectures (x86 and ARM32).
 The concolic exploration of each instruction is performed once and its
 paths are reused across compilers and back-ends, matching the paper's
 note that "the results of the concolic exploration can be cached and
-reused multiple times".
+reused multiple times".  So is the interpreter output it recorded for
+each path, against which every compiled run is checked, and so is the
+instruction's VM world (:class:`~repro.concolic.explorer.VMWorld`).
 
 The driver is fault tolerant: every (instruction, compiler) cell runs
 behind the robustness layer's :func:`~repro.robustness.errors.guard`.
@@ -40,6 +42,7 @@ from repro.concolic.explorer import (
     ExplorationCache,
     ExplorationResult,
     NativeMethodSpec,
+    VMWorld,
 )
 from repro.difftest.curation import curate_paths
 from repro.difftest.harness import ComparisonResult, DifferentialTester, Status
@@ -234,11 +237,20 @@ def test_instruction(
     config: CampaignConfig | None = None,
     exploration: ExplorationResult | None = None,
     deadline=None,
+    world: VMWorld | None = None,
 ) -> InstructionTestResult:
-    """Explore (or reuse an exploration) and differentially test."""
+    """Explore (or reuse an exploration) and differentially test.
+
+    Every backend tests in *world*, the instruction's VM state (a
+    fresh one when omitted).  The world is built before the clock
+    starts: ``test_seconds`` charges only this compiler's work.
+    """
     config = config or CampaignConfig()
     if exploration is None:
         exploration = explore_instruction(spec, config, deadline)
+    if world is None:
+        with guard("harness"):
+            world = VMWorld(spec)
     curated = curate_paths(exploration.paths)
     result = InstructionTestResult(
         instruction=spec.name,
@@ -255,6 +267,7 @@ def test_instruction(
                 max_sim_steps=config.max_sim_steps,
                 deadline=deadline,
                 fault_describer_gaps=config.fault_describer_gaps,
+                world=world,
             )
         for path in curated:
             if deadline is not None:
@@ -500,8 +513,14 @@ def _execute_cell_attempts(config: CampaignConfig, deadline, spec,
                     # Only full-budget explorations enter the shared
                     # cache; retries keep their reduced paths private.
                     explorations.put(spec, exploration)
+            with guard("harness"):
+                # Likewise only first attempts test in the shard's
+                # world; a retry builds its own, so a cell that crashed
+                # mid-path leaves nothing behind for the next cell.
+                world = (explorations.world(spec) if attempt == 0
+                         else VMWorld(spec))
             result = test_instruction(
-                spec, compiler_class, cfg, exploration, deadline
+                spec, compiler_class, cfg, exploration, deadline, world
             )
             result.retries = attempt
             return result, None

@@ -177,8 +177,8 @@ class Heap:
 
         Words that existed at the mark appear only when their value
         actually changed; words allocated after the mark are all
-        reported (old value 0), mirroring :meth:`diff` exactly so the
-        two capture paths produce byte-identical results.
+        reported (old value 0), mirroring :meth:`diff` exactly (the heap
+        tests hold the two byte-identical under random traffic).
         """
         journal = self._journal
         if journal is None:

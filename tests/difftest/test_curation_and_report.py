@@ -19,6 +19,7 @@ from repro.difftest.report import (
     format_retries,
     format_table2,
     format_table3,
+    in_milliseconds,
     paths_per_instruction,
     retried_cells,
     table2,
@@ -141,6 +142,12 @@ class TestDistribution:
         text = format_distributions("T", {"a": Distribution("a", [1.0])})
         assert text.startswith("T")
         assert "n=   1" in text
+
+    def test_times_render_in_milliseconds(self):
+        seconds = {"a": Distribution("a", [0.0011, 0.0021])}
+        text = format_distributions("T (ms)", in_milliseconds(seconds))
+        assert "median=    1.60" in text
+        assert seconds["a"].values == [0.0011, 0.0021]
 
 
 class TestRetrySection:

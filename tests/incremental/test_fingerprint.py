@@ -129,3 +129,24 @@ class TestSensitivity:
         from repro.jit.simple_stack import SimpleStackBasedCogit
 
         assert fingerprint(compiler=SimpleStackBasedCogit) != fingerprint()
+
+    def test_patched_handler_moves_only_its_cells(self, monkeypatch):
+        """``Interpreter.step`` finds handlers by name at run time, so
+        the closure walk cannot reach them through it: each cell's own
+        ``bc_<family>`` root must carry the patch, and only that one."""
+        from repro.interpreter.interpreter import Interpreter
+
+        config = replace(CONFIG, only=("pushTrue", "pushFalse",
+                                       "bytecodePrimAdd", "primitiveAdd"))
+        rows = campaign_rows(config)
+        before = plan_fingerprints(rows, config)
+        original = Interpreter.bc_pushTrue
+
+        def patched(self, frame, bytecode, operands):
+            return original(self, frame, bytecode, operands)
+
+        monkeypatch.setattr(Interpreter, "bc_pushTrue", patched)
+        after = plan_fingerprints(rows, config)
+        moved = {key for key in before if before[key] != after[key]}
+        assert moved == {key for key in before if key.endswith("::pushTrue")}
+        assert len(moved) == 3
