@@ -70,7 +70,7 @@ def test_ablation_pathtree_explorer(benchmark, raw_signatures):
     assert signatures == raw_signatures
 
 
-def test_ablation_raw_explorer(benchmark, raw_signatures):
+def test_ablation_raw_loop(benchmark, raw_signatures):
     signatures = benchmark(lambda: _explore_all(raw=True))
     assert signatures == raw_signatures
 

@@ -28,8 +28,8 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: The benchmarks reproduce the paper's numbers, which include the
 #: historical R10/R11 fault-describer defect ("Simulation Error" in
 #: Table 3).  The shipped simulator fixes it, so the paper-fidelity
-#: campaign re-seeds the gap explicitly.
-PAPER_DEFECTS = {"fault_describer_gaps": ("R10", "R11")}
+#: campaign re-seeds the gap with mutants R10/R11.
+PAPER_DEFECTS = {"mutants": ("R10", "R11")}
 
 
 def campaign_config() -> CampaignConfig:

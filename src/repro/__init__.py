@@ -38,7 +38,6 @@ from repro.concolic.explorer import (
     PathResult,
     explore_bytecode,
     explore_native_method,
-    explore_raw,
 )
 from repro.concolic.sequences import (
     BytecodeSequenceSpec,
@@ -75,7 +74,6 @@ __all__ = [
     "PathResult",
     "explore_bytecode",
     "explore_native_method",
-    "explore_raw",
     "BytecodeSequenceSpec",
     "interesting_sequences",
     "sequence_spec",

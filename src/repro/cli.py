@@ -7,8 +7,8 @@ Subcommands mirror the library's main entry points:
   test of every curated path (steps 2-4);
 * ``campaign [--max-bytecodes N] [--max-natives N] [--only NAME] [-j N]
   [--deadline S] [--journal PATH] [--resume] [--fail-fast]
-  [--triage] [--confirm-runs N] [--repro-dir DIR] [--profile]
-  [--profile-json PATH] [--raw-explorer] [--cache-dir DIR]
+  [--triage] [--confirm-runs N] [--repro-dir DIR] [--mutant ID]
+  [--profile] [--profile-json PATH] [--cache-dir DIR]
   [--no-cache]`` — the full Table 2/3 evaluation, with parallel
   sharding (work-stealing), wall-clock budgeting, checkpoint/resume,
   cache/solver profiling, the persistent cross-run result cache, and
@@ -50,7 +50,11 @@ from repro.concolic.explorer import (
     ConcolicExplorer,
     NativeMethodSpec,
 )
-from repro.concolic.sequences import INTERESTING_SEQUENCES, sequence_spec
+from repro.concolic.sequences import (
+    INTERESTING_SEQUENCES,
+    interesting_sequences,
+    sequence_spec,
+)
 from repro.difftest.report import format_table2, format_table3
 from repro.difftest.runner import CampaignConfig, run_campaign, test_instruction
 from repro.errors import BytecodeError
@@ -71,36 +75,6 @@ COMPILERS = {
 BACKENDS = {"x86": X86Backend, "arm32": Arm32Backend}
 
 
-def parse_fault_describer_gaps(text: str | None) -> tuple:
-    """Validate ``--fault-describer-gaps`` against the register file.
-
-    The simulator derives its getter table by *set difference* from
-    ``GENERAL_REGISTERS``, so an unknown name used to be silently
-    ignored — ``--fault-describer-gaps R10,RR11`` seeded half the
-    defect and reported nothing.  Unknown names now exit with the
-    valid inventory; repeats are deduped (order-preserving).
-    """
-    from repro.jit.machine.registers import GENERAL_REGISTERS
-
-    gaps: list[str] = []
-    unknown: list[str] = []
-    for chunk in (text or "").split(","):
-        name = chunk.strip()
-        if not name:
-            continue
-        if name not in GENERAL_REGISTERS:
-            unknown.append(name)
-        elif name not in gaps:
-            gaps.append(name)
-    if unknown:
-        raise SystemExit(
-            "--fault-describer-gaps: unknown register name(s) "
-            + ", ".join(repr(name) for name in unknown)
-            + "; valid registers: " + ", ".join(GENERAL_REGISTERS)
-        )
-    return tuple(gaps)
-
-
 def resolve_spec(name: str):
     """Instruction name -> spec (byte-code, primitive, sequence, stitch)."""
     if name.startswith("stitch:"):
@@ -111,7 +85,15 @@ def resolve_spec(name: str):
         except BytecodeError as exc:
             raise SystemExit(f"bad stitched name: {exc}")
     if name.startswith("seq:"):
-        return sequence_spec(*name[4:].split("+"))
+        # A curated sequence's name drops jump operands
+        # (``longJump``), so look the corpus up before re-encoding.
+        for spec in interesting_sequences():
+            if spec.name == name:
+                return spec
+        try:
+            return sequence_spec(*name[4:].split("+"))
+        except BytecodeError as exc:
+            raise SystemExit(f"bad sequence name: {exc}")
     if name.startswith("primitive"):
         try:
             return NativeMethodSpec(primitive_named(name))
@@ -121,6 +103,29 @@ def resolve_spec(name: str):
         return BytecodeInstructionSpec(bytecode_named(name))
     except BytecodeError:
         raise SystemExit(f"unknown instruction: {name}")
+
+
+def parse_only(names) -> tuple:
+    """Check every ``--only`` name with :func:`resolve_spec`.
+
+    A misspelt name selects no cell: ``campaign`` would print all-zero
+    tables and exit 0, and ``mutate`` would report the mutant missed.
+    Unknown names exit before anything runs, all of them listed.
+    """
+    names = tuple(names or ())
+    unknown = []
+    for name in names:
+        try:
+            resolve_spec(name)
+        except SystemExit:
+            unknown.append(name)
+    if unknown:
+        raise SystemExit(
+            "--only: unknown instruction name(s) "
+            + ", ".join(repr(name) for name in unknown)
+            + "; see `repro list`"
+        )
+    return names
 
 
 def default_compiler_for(spec) -> str:
@@ -217,7 +222,6 @@ def cmd_campaign(args) -> int:
     if args.stitch and args.sequences:
         raise SystemExit("--stitch and --sequences are mutually exclusive")
     profile = bool(args.profile or args.profile_json)
-    gaps = parse_fault_describer_gaps(args.fault_describer_gaps)
     mutants = ()
     if getattr(args, "mutant", None):
         from repro.mutation import parse_mutants
@@ -226,7 +230,7 @@ def cmd_campaign(args) -> int:
     config = CampaignConfig(
         max_bytecodes=args.max_bytecodes,
         max_natives=args.max_natives,
-        only=tuple(args.only or ()),
+        only=parse_only(args.only),
         backends=tuple(BACKENDS[b] for b in args.backend),
         max_sim_steps=args.max_sim_steps,
         deadline_seconds=args.deadline,
@@ -234,10 +238,8 @@ def cmd_campaign(args) -> int:
         worker_memory_mb=args.worker_memory_mb,
         worker_cpu_seconds=args.worker_cpu_seconds,
         fail_fast=args.fail_fast,
-        fault_describer_gaps=gaps,
         mutants=mutants,
         profile=profile,
-        raw_explorer=args.raw_explorer,
         **stitch_config_kwargs(args),
     )
     if args.resume and not args.journal:
@@ -338,6 +340,7 @@ def cmd_mutate(args) -> int:
                   f"{mutant.description}{suffix}")
         return 0
     mutant_ids = parse_mutants(args.mutant) or None
+    only = parse_only(args.only)
     try:
         budgets = tuple(dict.fromkeys(
             int(part) for part in (args.budgets or "").split(",") if part.strip()
@@ -350,7 +353,7 @@ def cmd_mutate(args) -> int:
     config = CampaignConfig(
         max_bytecodes=args.max_bytecodes,
         max_natives=args.max_natives,
-        only=tuple(args.only or ()),
+        only=only,
         backends=tuple(BACKENDS[b] for b in args.backend),
         max_sim_steps=args.max_sim_steps,
         deadline_seconds=args.deadline,
@@ -684,22 +687,11 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: repros)",
     )
     campaign.add_argument(
-        "--fault-describer-gaps", metavar="REGS",
-        help="re-seed the historical fault-describer defect for these "
-             "comma-separated registers (e.g. R10,R11); for fidelity "
-             "benchmarks and triage smoke tests",
-    )
-    campaign.add_argument(
         "--mutant", action="append", metavar="ID",
         help="run the whole campaign under this semantic mutant from "
-             "the mutation registry (repeatable; see docs/MUTATION.md "
-             "and `repro mutate --list`)",
-    )
-    campaign.add_argument(
-        "--raw-explorer", action="store_true",
-        help="explore with the from-the-root loop instead of the "
-             "prefix-sharing path tree (ablation; identical results, "
-             "see docs/EXPLORATION.md)",
+             "the mutation registry (repeatable or comma-separated; "
+             "R10,R11 re-seeds the paper's Simulation Error defect; see "
+             "docs/MUTATION.md and `repro mutate --list`)",
     )
     campaign.add_argument(
         "--profile", action="store_true",

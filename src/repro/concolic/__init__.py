@@ -32,7 +32,6 @@ from repro.concolic.explorer import (
     ConcolicExplorer,
     NativeMethodSpec,
     PathResult,
-    explore_raw,
 )
 from repro.concolic.pathtree import PathTree
 from repro.concolic.sequences import (
@@ -62,7 +61,6 @@ __all__ = [
     "ConcolicExplorer",
     "PathResult",
     "PathTree",
-    "explore_raw",
     "BytecodeSequenceSpec",
     "interesting_sequences",
     "sequence_spec",

@@ -429,9 +429,10 @@ class ConcolicExplorer:
 
         Every popped prefix goes to the solver and every model executes
         from the root — no subsumption, no execution replay.  Kept
-        importable (mirroring ``solve_raw``) so benchmarks and the
-        equivalence property suite can compare the two explorers; the
-        result is identical to :meth:`explore` up to ``elapsed_seconds``.
+        (mirroring ``solve_raw``) as the reference the equivalence
+        property suite and the explorer ablation benchmark compare the
+        tree against; no campaign runs it.  The result is identical to
+        :meth:`explore` up to ``elapsed_seconds``.
         """
         from repro.robustness.errors import guard
         from repro.robustness.faults import maybe_inject
@@ -530,15 +531,6 @@ class ConcolicExplorer:
             exit=exit_result,
             output=output,
         )
-
-
-def explore_raw(spec, **kwargs) -> ExplorationResult:
-    """Ablation entry: explore *spec* with the from-the-root loop.
-
-    Mirrors ``solve_raw`` on the solver side — same results as the
-    default path-tree explorer, none of the prefix sharing.
-    """
-    return ConcolicExplorer(spec, **kwargs).explore_raw()
 
 
 def explore_bytecode(bytecode: Bytecode, **kwargs) -> ExplorationResult:

@@ -224,7 +224,7 @@ class DifferentialTester:
 
     def __init__(self, spec, backend, compiler_class, *,
                  max_sim_steps: int = 20_000, deadline=None,
-                 fault_describer_gaps: tuple = (), world=None) -> None:
+                 world=None) -> None:
         self.spec = spec
         self.backend = backend
         self.max_sim_steps = max_sim_steps
@@ -239,8 +239,7 @@ class DifferentialTester:
         self.trampolines = TrampolineTable()
         self._register_services()
         self.simulator = MachineSimulator(
-            self.memory.heap, self.code_cache, self.trampolines,
-            fault_describer_gaps=fault_describer_gaps,
+            self.memory.heap, self.code_cache, self.trampolines
         )
         self.compiler = compiler_class(
             self.memory, self.trampolines, self.code_cache, backend, self.symbols

@@ -168,9 +168,6 @@ class CampaignConfig:
     fail_fast: bool = False
     #: Budget multiplier applied for the single quarantine retry.
     retry_scale: float = 0.5
-    #: Re-seed the historical R10/R11 fault-describer defect (paper
-    #: fidelity benchmarks and fault-injection tests only).
-    fault_describer_gaps: tuple = ()
     #: Active mutant ids from the semantic mutation registry
     #: (``campaign --mutant`` / ``repro mutate``; see docs/MUTATION.md).
     #: Part of the config so the mutated semantics cross the fork
@@ -182,10 +179,6 @@ class CampaignConfig:
     #: Profiling observes counters and wall-clock only; reports stay
     #: byte-identical with it on or off.
     profile: bool = False
-    #: Explore with the from-the-root loop instead of the prefix-sharing
-    #: path tree (``campaign --raw-explorer``); ablation only — results
-    #: are identical, the tree is just faster.
-    raw_explorer: bool = False
     #: Stitched-corpus budget knobs (``campaign --stitch`` /
     #: ``repro stitch``; docs/STITCHING.md).  Part of the config so the
     #: corpus — a deterministic pure function of these four values — is
@@ -198,11 +191,10 @@ class CampaignConfig:
     def reduced(self) -> "CampaignConfig":
         """The smaller-budget config used for the quarantine retry.
 
-        Only the *budgets* shrink.  The semantic knobs — the seeded
-        describer gaps and the active mutants — are threaded through
-        explicitly: a quarantine retry must re-run the cell under the
-        exact semantics the first attempt saw, or the retry would
-        "fix" a seeded defect by accident (see
+        Only the *budgets* shrink; every other field, the active
+        mutants included, carries over: a quarantine retry must re-run
+        the cell under the exact semantics the first attempt saw, or
+        the retry would "fix" a seeded defect by accident (see
         tests/mutation/test_retry_semantics.py).
         """
         scale = self.retry_scale
@@ -213,22 +205,17 @@ class CampaignConfig:
             ),
             max_iterations=max(1, int(self.max_iterations * scale)),
             max_sim_steps=max(256, int(self.max_sim_steps * scale)),
-            fault_describer_gaps=self.fault_describer_gaps,
-            mutants=self.mutants,
         )
 
 
 def explore_instruction(spec, config: CampaignConfig,
                         deadline=None) -> ExplorationResult:
-    explorer = ConcolicExplorer(
+    return ConcolicExplorer(
         spec,
         max_iterations=config.max_iterations,
         max_paths=config.max_paths_per_instruction,
         deadline=deadline,
-    )
-    if config.raw_explorer:
-        return explorer.explore_raw()
-    return explorer.explore()
+    ).explore()
 
 
 def test_instruction(
@@ -244,8 +231,21 @@ def test_instruction(
     Every backend tests in *world*, the instruction's VM state (a
     fresh one when omitted).  The world is built before the clock
     starts: ``test_seconds`` charges only this compiler's work.
+
+    Runs under ``config.mutants`` (reference-counted, so the
+    activation :func:`execute_cell` already holds nests).
     """
+    from repro.mutation import activated  # local: see execute_cell
+
     config = config or CampaignConfig()
+    with activated(config.mutants):
+        return _test_instruction_activated(
+            spec, compiler_class, config, exploration, deadline, world
+        )
+
+
+def _test_instruction_activated(spec, compiler_class, config, exploration,
+                                deadline, world) -> InstructionTestResult:
     if exploration is None:
         exploration = explore_instruction(spec, config, deadline)
     if world is None:
@@ -266,7 +266,6 @@ def test_instruction(
                 spec, backend_class(), compiler_class,
                 max_sim_steps=config.max_sim_steps,
                 deadline=deadline,
-                fault_describer_gaps=config.fault_describer_gaps,
                 world=world,
             )
         for path in curated:

@@ -40,7 +40,7 @@ from pathlib import Path
 
 #: Bumped when the fingerprint recipe itself changes; feeds the store's
 #: on-disk CACHE_VERSION so stale stores degrade to a cold run.
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 _RENDER_DEPTH_LIMIT = 8
 
@@ -401,12 +401,10 @@ def _budget_signature(config) -> tuple:
         config.max_iterations,
         config.max_sim_steps,
         bool(config.boundary_witnesses),
-        bool(getattr(config, "raw_explorer", False)),
         tuple(
             getattr(backend, "name", str(backend))
             for backend in config.backends
         ),
-        tuple(config.fault_describer_gaps),
     )
 
 

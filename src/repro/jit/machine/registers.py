@@ -2,10 +2,11 @@
 
 The conventions mirror Cogit's: a receiver/result register, argument
 registers, scratch registers for type checks, and a pool the
-linear-scan allocator may use.  ``R10`` and ``R11`` are allocatable but
-deliberately missing from the simulator's reflective fault-describer
-getter table — the *simulation error* defect family (paper Section 5.3
-found exactly this kind of missing reflective accessor dynamically).
+linear-scan allocator may use.  ``R10`` and ``R11`` are allocatable;
+the simulator's reflective fault describer once had no getter for them
+— the *simulation error* defect family (paper Section 5.3 found exactly
+this kind of missing reflective accessor dynamically), which mutants
+``R10``/``R11`` re-seed.
 """
 
 from __future__ import annotations

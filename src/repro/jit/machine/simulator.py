@@ -21,10 +21,10 @@ Historically that table was missing entries for R10/R11, so a fault
 raised while addressing through those registers crashed the simulation
 itself — a defect only dynamic testing finds, and exactly the kind the
 paper reports.  The table is now derived from ``GENERAL_REGISTERS`` so
-every register is describable; the defect remains *injectable* through
-the ``fault_describer_gaps`` constructor argument, which the
-paper-fidelity benchmarks and the fault-injection tests use to re-seed
-it deliberately.
+every register is describable; mutants ``R10``/``R11``
+(:mod:`repro.mutation.simulator_ops`) re-seed the defect by dropping
+their register from a new simulator's table, for the paper-fidelity
+benchmarks and the triage tests.
 """
 
 from __future__ import annotations
@@ -132,8 +132,7 @@ class TrampolineTable:
 class MachineSimulator:
     """A 32-bit register machine sharing the VM heap."""
 
-    def __init__(self, heap, code_cache: CodeCache, trampolines: TrampolineTable,
-                 fault_describer_gaps: tuple = ()):
+    def __init__(self, heap, code_cache: CodeCache, trampolines: TrampolineTable):
         self.heap = heap
         self.code_cache = code_cache
         self.trampolines = trampolines
@@ -143,15 +142,9 @@ class MachineSimulator:
         self.flags = {"eq": False, "lt": False, "gt": False}
         self.pc = 0
         # The reflective getter table, derived from the register file so
-        # no register is accidentally undescribable.  ``fault_describer_
-        # gaps`` re-seeds the historical R10/R11 defect on demand (the
-        # paper's Simulation Error family) for fidelity benchmarks and
-        # fault-injection tests.
-        self._fault_getters = {
-            name: name
-            for name in GENERAL_REGISTERS
-            if name not in fault_describer_gaps
-        }
+        # no register is accidentally undescribable.  Mutants R10/R11
+        # remove entries to re-seed the paper's Simulation Error family.
+        self._fault_getters = {name: name for name in GENERAL_REGISTERS}
 
     # ------------------------------------------------------------------
     # register access

@@ -126,9 +126,9 @@ def active_ids() -> tuple:
 def parse_mutants(values) -> tuple:
     """Validate and dedupe mutant ids from CLI input (order-preserving).
 
-    Raises ``SystemExit`` with the registered inventory on a typo, the
-    same contract as the ``--fault-describer-gaps`` register validation
-    (see :func:`repro.cli.parse_fault_describer_gaps`).
+    Raises ``SystemExit`` with the registered inventory on a typo, so
+    a misspelt id never runs a silently unmutated campaign (``--only``
+    names get the same check in :func:`repro.cli.parse_only`).
     """
     seen: list[str] = []
     for value in values or ():

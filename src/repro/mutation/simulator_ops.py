@@ -5,15 +5,14 @@ defects: the CPU simulator's reflective fault describer had no getter
 for ``R10`` and ``R11``, so any machine fault whose description needed
 one of those registers crashed the *simulation* instead of producing a
 comparable outcome.  The shipped simulator derives its getter table
-from the register file (the fix), and ``CampaignConfig
-.fault_describer_gaps`` re-seeds the gap on demand.
+from the register file (the fix).
 
-These two mutants subsume that config knob as named registry entries:
-``R10``/``R11`` wrap :class:`MachineSimulator.__init__` and append
-their register to whatever ``fault_describer_gaps`` the caller passed,
-so a campaign run under mutant ``R10`` is semantically identical to
-one run with ``--fault-describer-gaps R10`` (asserted byte-for-byte by
-``tests/mutation/test_fidelity.py``).
+These two mutants are the one way to re-seed that defect: ``R10``/
+``R11`` wrap :class:`MachineSimulator.__init__` and drop their register
+from each new simulator's getter table.  Each wraps whatever
+``__init__`` is live, so the two compose: ``--mutant R10,R11`` seeds
+both halves, which is what the paper-fidelity benchmarks
+(``benchmarks/conftest.py``) and the triage tests run.
 """
 
 from __future__ import annotations
@@ -26,13 +25,9 @@ def _install_describer_gap(register_name: str):
     def install():
         original = MachineSimulator.__init__
 
-        def mutated(self, heap, code_cache, trampolines,
-                    fault_describer_gaps: tuple = ()):
-            gaps = tuple(fault_describer_gaps)
-            if register_name not in gaps:
-                gaps = gaps + (register_name,)
-            original(self, heap, code_cache, trampolines,
-                     fault_describer_gaps=gaps)
+        def mutated(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            self._fault_getters.pop(register_name, None)
 
         MachineSimulator.__init__ = mutated
 

@@ -101,9 +101,10 @@ def write_point(site: str, path=None, data: bytes | None = None) -> None:
 def default_argv(resume: bool = False) -> list[str]:
     """A small campaign writing to all three sites.
 
-    Three seeded-defect natives produce triage causes (journal records
-    under the triage namespace plus reproducer scripts); two bytecodes
-    spread cells across all three byte-code compilers.  All paths are
+    Two defective natives, one seeded by mutants R10/R11, produce
+    triage causes (journal records under the triage namespace plus
+    reproducer scripts); two bytecodes spread cells across all three
+    byte-code compilers.  All paths are
     relative — the harness runs each campaign with ``cwd`` set to a
     fresh work directory so reports are byte-comparable across
     directories.
@@ -113,7 +114,7 @@ def default_argv(resume: bool = False) -> list[str]:
         "--only", "primitiveFloatTruncated", "--only", "primitiveMod",
         "--only", "pushReceiverVariable0", "--only", "pushReceiverVariable1",
         "--backend", "x86",
-        "--fault-describer-gaps", "R10,R11",
+        "--mutant", "R10,R11",
         "--triage", "--confirm-runs", "1",
         "--repro-dir", "repros",
         "--journal", "run.jsonl",

@@ -75,14 +75,12 @@ def reproducer_source(cause, config) -> str:
         f"CONSTRAINTS = {_literal(tuple(cause.constraints))}",
         f"MODEL = {_literal(cause.model or {})}",
         f"MAX_SIM_STEPS = {config.max_sim_steps}",
-        f"FAULT_DESCRIBER_GAPS = {_literal(tuple(config.fault_describer_gaps))}",
         f"MUTANTS = {_literal(tuple(getattr(config, 'mutants', ())))}",
         "",
         "",
         "def main() -> int:",
         "    verdict = replay(EXPECT, MODEL, CONSTRAINTS,",
         "                     max_sim_steps=MAX_SIM_STEPS,",
-        "                     fault_describer_gaps=FAULT_DESCRIBER_GAPS,",
         "                     mutants=MUTANTS)",
         "    print(verdict.describe())",
         "    return 1 if verdict.reproduced else 0",

@@ -265,9 +265,9 @@ def run_triage(result, config, triage: TriageConfig, *,
     """Triage one finished campaign; see the package docstring.
 
     ``result`` is the :class:`CampaignResult`, ``config`` the
-    :class:`CampaignConfig` it ran under (budgets, seeded gaps and
-    active mutants must match for confirmation to re-create the
-    campaign's conditions).  The whole pass runs under
+    :class:`CampaignConfig` it ran under (budgets and active mutants
+    must match for confirmation to re-create the campaign's
+    conditions).  The whole pass runs under
     ``config.mutants``: triage executes in the *parent* process, which
     — with ``jobs > 1`` — never ran a mutated cell itself, so without
     this activation confirmation and shrinking would replay against

@@ -202,7 +202,6 @@ class TriageLab:
             compiler_for(candidate.compiler),
             max_sim_steps=self.config.max_sim_steps,
             deadline=None,
-            fault_describer_gaps=self.config.fault_describer_gaps,
         )
         path = PathResult(
             instruction=spec.name,

@@ -74,7 +74,6 @@ class ReplayVerdict:
 
 def replay(expect: dict, model_data: dict, constraints, *,
            max_sim_steps: int = 20_000,
-           fault_describer_gaps: tuple = (),
            mutants: tuple = ()) -> ReplayVerdict:
     """One standalone interpreter-vs-JIT execution from recorded data.
 
@@ -88,23 +87,18 @@ def replay(expect: dict, model_data: dict, constraints, *,
 
     with activated(tuple(mutants)):
         return _replay_activated(
-            expect, model_data, constraints,
-            max_sim_steps=max_sim_steps,
-            fault_describer_gaps=fault_describer_gaps,
+            expect, model_data, constraints, max_sim_steps=max_sim_steps
         )
 
 
 def _replay_activated(expect: dict, model_data: dict, constraints, *,
-                      max_sim_steps: int,
-                      fault_describer_gaps: tuple) -> ReplayVerdict:
+                      max_sim_steps: int) -> ReplayVerdict:
     spec = spec_for(expect["kind"], expect["instruction"])
     backend = backend_class_for(expect["backend"])()
     compiler_class = compiler_for(expect["compiler"])
     try:
         tester = DifferentialTester(
-            spec, backend, compiler_class,
-            max_sim_steps=max_sim_steps,
-            fault_describer_gaps=tuple(fault_describer_gaps),
+            spec, backend, compiler_class, max_sim_steps=max_sim_steps
         )
         model = Model.from_dict(tester.context, model_data)
         path = PathResult(

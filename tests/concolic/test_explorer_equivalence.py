@@ -6,17 +6,13 @@ corpus) is that ``ConcolicExplorer.explore`` and
 ``ConcolicExplorer.explore_raw`` agree on everything except wall-clock:
 path signatures *in order*, input models, exit conditions, every
 iteration-independent :class:`ExplorationResult` counter, and the
-curated path sets the differential tester ultimately consumes.  The
-campaign-level tests extend the same guarantee through both engines:
-``--raw-explorer`` reports are byte-identical to the default, at any
-worker count and across a journal resume.
+curated path sets the differential tester ultimately consumes.  Every
+campaign explores with the tree; ``explore_raw`` is kept only as the
+reference these properties compare it against.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,16 +23,10 @@ from repro.concolic.explorer import (
     NativeMethodSpec,
 )
 from repro.difftest.curation import curate_paths
-from repro.difftest.report import format_table2, format_table3
-from repro.difftest.runner import CampaignConfig, run_campaign
 from repro.interpreter.primitives import testable_primitives
-from repro.jit.machine.x86 import X86Backend
 
 BYTECODES = testable_bytecodes()
 NATIVES = testable_primitives()
-
-CONFIG = CampaignConfig(max_bytecodes=2, max_natives=1, backends=(X86Backend,))
-RAW_CONFIG = replace(CONFIG, raw_explorer=True)
 
 
 def assert_equivalent(spec, **kwargs):
@@ -91,27 +81,3 @@ class TestInstructionEquivalence:
             max_iterations=max_iterations,
             max_paths=max_paths,
         )
-
-
-class TestCampaignEquivalence:
-    @pytest.fixture(scope="class")
-    def baseline(self):
-        """The default (path-tree) sequential campaign."""
-        return run_campaign(CONFIG)
-
-    def test_raw_explorer_sequential_matches(self, baseline):
-        raw = run_campaign(RAW_CONFIG)
-        assert format_table2(raw) == format_table2(baseline)
-        assert format_table3(raw) == format_table3(baseline)
-
-    def test_raw_explorer_parallel_matches(self, baseline):
-        raw = run_campaign(RAW_CONFIG, jobs=2)
-        assert format_table2(raw) == format_table2(baseline)
-        assert format_table3(raw) == format_table3(baseline)
-
-    def test_raw_explorer_resume_matches(self, baseline, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        run_campaign(RAW_CONFIG, journal_path=journal)
-        resumed = run_campaign(RAW_CONFIG, jobs=2, journal_path=journal,
-                               resume=True)
-        assert format_table2(resumed) == format_table2(baseline)

@@ -116,13 +116,17 @@ class TestSeededDefectsAreFound:
 
     def test_simulation_error_with_seeded_describer_gap(self):
         """With the historical R10/R11 describer defect re-seeded, the
-        truncation template's wild access surfaces as simulation_error."""
+        truncation template's wild access surfaces as simulation_error.
+
+        ``test_instruction`` activates ``config.mutants`` itself: no
+        caller has to wrap it in ``activated()``."""
         config = CampaignConfig(backends=(X86Backend,),
-                                fault_describer_gaps=("R10", "R11"))
+                                mutants=("R10", "R11"))
         result = run("primitiveFloatTruncated", NativeMethodCompiler,
                      kind="native", config=config)
         kinds = {d.difference_kind for d in result.differences()}
         assert "simulation_error" in kinds
+        assert "machine_fault" not in kinds
 
     def test_machine_fault_on_truncated_with_fixed_describer(self):
         """With the default (fixed) describer table the same defect is

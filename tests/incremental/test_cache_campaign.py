@@ -179,8 +179,7 @@ class TestTriageInterplay:
         # `only` filters after `max_*` slicing, so lift the CONFIG caps
         # or primitiveMod never makes the plan.
         config = replace(CONFIG, max_bytecodes=0, max_natives=None,
-                         only=("primitiveMod",),
-                         fault_describer_gaps=("R10", "R11"))
+                         only=("primitiveMod",), mutants=("R10", "R11"))
         triage = TriageConfig(confirm_runs=1, repro_dir=None, shrink=False,
                               self_verify=False)
         cold = run_campaign(config, cache_dir=cache_dir, triage=triage)

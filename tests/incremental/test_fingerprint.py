@@ -87,9 +87,7 @@ class TestSensitivity:
         dict(max_iterations=7),
         dict(max_sim_steps=123),
         dict(boundary_witnesses=True),
-        dict(raw_explorer=True),
         dict(backends=(X86Backend, Arm32Backend)),
-        dict(fault_describer_gaps=("R10",)),
     ])
     def test_budget_knobs_invalidate(self, knob):
         assert fingerprint(replace(CONFIG, **knob)) != fingerprint()

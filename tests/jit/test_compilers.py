@@ -490,15 +490,16 @@ class TestNativeTemplates:
         assert "base R10" in outcome.fault_reason
 
     def test_truncated_fault_with_seeded_gap_raises(self, world):
-        """Re-seeding the historical R10/R11 describer gap restores the
-        paper's Simulation Error behaviour."""
+        """Re-seeding the historical R10/R11 describer gap (mutants
+        R10/R11) restores the paper's Simulation Error behaviour."""
         from repro.errors import SimulationError
         from repro.jit.machine import MachineSimulator
+        from repro.mutation import activated
 
-        world.simulator = MachineSimulator(
-            world.memory.heap, world.code_cache, world.trampolines,
-            fault_describer_gaps=("R10", "R11"),
-        )
+        with activated(("R10", "R11")):
+            world.simulator = MachineSimulator(
+                world.memory.heap, world.code_cache, world.trampolines
+            )
         with pytest.raises(SimulationError):
             world.run_native("primitiveFloatTruncated", int_oop(world, 3), [])
 

@@ -203,8 +203,10 @@ class TestMemoryAndStack:
         assert "base R10" in outcome.fault_reason
 
     def test_injected_describer_gap_is_simulation_error(self, backend):
-        """The historical R10/R11 defect stays injectable for the
-        fault-injection tests and paper-fidelity benchmarks."""
+        """The historical R10/R11 defect stays injectable, through
+        mutants R10/R11, for the paper-fidelity benchmarks."""
+        from repro.mutation import activated
+
         instructions = [
             mi("MOV_RI", "R10", imm=0x0DEAD000),
             mi("LOAD", "R0", "R10", imm=0),
@@ -213,8 +215,8 @@ class TestMemoryAndStack:
         heap = Heap(size_words=16)
         cache = CodeCache()
         code = cache.install(instructions, backend)
-        sim = MachineSimulator(heap, cache, TrampolineTable(),
-                               fault_describer_gaps=("R10", "R11"))
+        with activated(("R10", "R11")):
+            sim = MachineSimulator(heap, cache, TrampolineTable())
         sim.reset()
         sim._push(END_SENTINEL)
         with pytest.raises(SimulationError):

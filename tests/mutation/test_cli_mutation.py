@@ -1,10 +1,9 @@
-"""CLI surface of the mutation engine (ISSUE satellite 1 + tentpole).
+"""CLI surface of the mutation engine.
 
-`--fault-describer-gaps` validation: unknown register names used to be
-silently ignored (the simulator derives its getter table by set
-difference, so a typo seeded nothing and reported nothing); now they
-exit with the valid inventory.  Plus the `repro mutate` subcommand:
-inventory listing, argument validation, and one end-to-end tiny sweep.
+`--mutant` validation (a misspelt id exits with the registered
+inventory instead of running a silently unmutated campaign), and the
+`repro mutate` subcommand: inventory listing, argument validation, and
+one end-to-end tiny sweep.
 """
 
 from __future__ import annotations
@@ -13,34 +12,10 @@ import json
 
 import pytest
 
-from repro.cli import main, parse_fault_describer_gaps
+from repro.cli import main
 
 
-class TestFaultDescriberGapValidation:
-    def test_valid_names(self):
-        assert parse_fault_describer_gaps("R10,R11") == ("R10", "R11")
-
-    def test_dedupe_preserves_order(self):
-        assert parse_fault_describer_gaps("R11,R10,R11,R10") == ("R11", "R10")
-
-    def test_empty(self):
-        assert parse_fault_describer_gaps(None) == ()
-        assert parse_fault_describer_gaps("") == ()
-        assert parse_fault_describer_gaps(" , ") == ()
-
-    def test_unknown_register_exits_with_inventory(self):
-        with pytest.raises(SystemExit) as excinfo:
-            parse_fault_describer_gaps("R10,RR11")
-        message = str(excinfo.value)
-        assert "RR11" in message
-        assert "valid registers" in message
-        assert "R11" in message
-
-    def test_campaign_rejects_unknown_register(self):
-        with pytest.raises(SystemExit, match="BOGUS"):
-            main(["campaign", "--fault-describer-gaps", "BOGUS",
-                  "--only", "pushTrue"])
-
+class TestMutantValidation:
     def test_campaign_rejects_unknown_mutant(self):
         with pytest.raises(SystemExit, match="unknown mutant"):
             main(["campaign", "--mutant", "Z9", "--only", "pushTrue"])

@@ -27,6 +27,60 @@ class TestResolveSpec:
         with pytest.raises(SystemExit):
             resolve_spec("primitiveBogus")
 
+    def test_unknown_sequence_entry_exits(self):
+        # An unknown entry exits like every other unknown name, not
+        # with a BytecodeError traceback.
+        with pytest.raises(SystemExit, match="pushTru"):
+            resolve_spec("seq:pushTru+popStackTop")
+
+    def test_every_curated_sequence_name_resolves(self):
+        # A sequence's name drops jump operands, so the curated
+        # sequence with a longJump cannot be re-encoded from its name.
+        from repro.concolic.sequences import interesting_sequences
+
+        for spec in interesting_sequences():
+            assert resolve_spec(spec.name) == spec
+
+
+class TestOnlyValidation:
+    """A misspelt `--only` name exits before anything runs."""
+
+    def test_campaign_rejects_a_misspelt_name(self):
+        with pytest.raises(SystemExit, match="primitiveFloatTruncatd"):
+            main(["campaign", "--only", "primitiveFloatTruncatd",
+                  "--backend", "x86"])
+
+    def test_campaign_lists_every_unknown_name(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--only", "pushTru", "--only", "primitiveMod",
+                  "--only", "seq:pushTru+popStackTop", "--backend", "x86"])
+        message = str(excinfo.value)
+        assert "'pushTru'" in message
+        assert "'seq:pushTru+popStackTop'" in message
+        assert "primitiveMod" not in message
+
+    def test_mutate_rejects_a_misspelt_name(self):
+        # Running would report the mutant `missed`: a false verdict.
+        with pytest.raises(SystemExit, match="primitiveModd"):
+            main(["mutate", "--mutant", "I1", "--budgets", "4",
+                  "--only", "primitiveModd", "--no-triage"])
+
+    def test_every_name_kind_passes(self):
+        from repro.cli import parse_only
+
+        names = ("primitiveMod", "pushTrue",
+                 "seq:pushOne+longJump+nop+pushTwo+bytecodePrimAdd",
+                 "stitch:pushOne+pushTwo")
+        assert parse_only(list(names)) == names
+        assert parse_only(None) == ()
+
+    def test_curated_sequence_with_a_jump_runs(self, capsys):
+        assert main(["campaign", "--sequences", "--backend", "x86",
+                     "--only",
+                     "seq:pushOne+longJump+nop+pushTwo+bytecodePrimAdd"]) == 0
+        out = capsys.readouterr().out
+        assert "StackToRegisterCogit (sequences)" in out
+
 
 class TestCommands:
     def test_explore(self, capsys):
@@ -97,7 +151,7 @@ class TestCommands:
         monkeypatch.chdir(tmp_path)
         code = main([
             "campaign", "--only", "primitiveMod", "--backend", "x86",
-            "--fault-describer-gaps", "R10,R11",
+            "--mutant", "R10,R11",
             "--triage", "--confirm-runs", "1", "--repro-dir", "repros",
         ])
         assert code == 0

@@ -3,10 +3,13 @@
 ``docs/CAMPAIGN.md`` promises to document *every* flag of the
 ``campaign`` subcommand.  This test introspects the live argparse
 parser so the guide cannot silently drift from ``src/repro/cli.py``:
-adding a campaign flag without documenting it fails here.
+adding a campaign flag without documenting it fails here.  The other
+direction holds too: every flag a guide's flag table documents must
+exist on the live parser of its subcommand, so removing a flag without
+removing its row fails here.
 
 ``docs/EXPLORATION.md`` makes the symmetric promise for the
-exploration engine: the ablation flag row, every profile counter and
+exploration engine: the ablation method, every profile counter and
 gauge it names, and every module path it mentions must exist in the
 code.
 
@@ -106,6 +109,50 @@ def test_campaign_flag_is_documented(flag):
     )
 
 
+#: Each guide with a flag table, and the subcommands whose live
+#: parsers its rows describe.
+FLAG_TABLES = {
+    "CAMPAIGN.md": ("campaign",),
+    "MUTATION.md": ("mutate",),
+    "STITCHING.md": ("stitch", "campaign", "mutate"),
+    "EXPLORATION.md": ("campaign",),
+}
+
+
+def flag_table_rows() -> list[tuple[str, str]]:
+    """``(guide, flag)`` for every flag in a flag-table row's first
+    cell (``| `-j N`, `--jobs N` | ...`` documents both)."""
+    rows = []
+    for guide in FLAG_TABLES:
+        text = (ROOT / "docs" / guide).read_text(encoding="utf-8")
+        for line in text.splitlines():
+            if line.startswith("| `-"):
+                first_cell = line.split("|")[1]
+                rows.extend((guide, flag) for flag in
+                            re.findall(r"`(-[\w-]+)", first_cell))
+    return rows
+
+
+def test_flag_tables_are_found():
+    """Guard the row parser: the reverse check below must not pass
+    vacuously."""
+    guides = [guide for guide, _flag in flag_table_rows()]
+    assert guides.count("CAMPAIGN.md") >= 20
+    assert guides.count("MUTATION.md") >= 15
+    assert guides.count("STITCHING.md") >= 5
+    assert ("CAMPAIGN.md", "-j") in flag_table_rows()
+
+
+@pytest.mark.parametrize("guide, flag", flag_table_rows())
+def test_documented_flag_exists(guide, flag):
+    commands = FLAG_TABLES[guide]
+    live = {f for command in commands for f in subcommand_flags(command)}
+    assert flag in live, (
+        f"docs/{guide} documents {flag}, which no {'/'.join(commands)} "
+        "parser has — remove the stale row"
+    )
+
+
 def test_guide_links_are_not_stale():
     """The guide points at sibling docs and tests; keep them existing."""
     root = DOCS.parent.parent
@@ -147,10 +194,13 @@ def test_exploration_guide_introspection_is_not_vacuous():
     assert "src/repro/concolic/pathtree.py" in exploration_module_paths()
 
 
-def test_exploration_guide_documents_the_ablation_flag():
-    """The `--raw-explorer` flag row must match the real CLI flag."""
-    assert "--raw-explorer" in campaign_flags()
-    assert "`--raw-explorer`" in exploration_text()
+def test_exploration_guide_documents_the_ablation_method():
+    """The from-the-root loop is a method, not a campaign switch: the
+    guide names the method, and the method exists."""
+    from repro.concolic.explorer import ConcolicExplorer
+
+    assert callable(ConcolicExplorer.explore_raw)
+    assert "`ConcolicExplorer.explore_raw`" in exploration_text()
 
 
 @pytest.mark.parametrize("name", exploration_counters())

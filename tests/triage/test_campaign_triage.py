@@ -1,11 +1,12 @@
 """Acceptance tests: `campaign --triage` on a seeded defect flood.
 
 The scenario is the paper's own: re-seed the R10/R11 fault-describer
-gap (`RESILIENCE.md`), scope the campaign to the instructions that hit
-it, and let the flood of differing executions pour in.  Triage must
-fold the flood into a handful of confirmed cause buckets, shrink each
-to a minimal input, and emit standalone reproducers that fail on their
-own — byte-identically at every `-j` value and across a resume.
+gap (mutants `R10`/`R11`, `MUTATION.md`), scope the campaign to the
+instructions that hit it, and let the flood of differing executions
+pour in.  Triage must fold the flood into a handful of confirmed cause
+buckets, shrink each to a minimal input, and emit standalone
+reproducers that fail on their own — byte-identically at every `-j`
+value and across a resume.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.triage.shrink import shrink_candidate
 #: describer gap, producing dozens of differing executions from at
 #: most a handful of root causes.
 SCOPE = ("primitiveFloatTruncated", "primitiveMod", "primitiveConstantFill")
-CONFIG = CampaignConfig(only=SCOPE, fault_describer_gaps=("R10", "R11"))
+CONFIG = CampaignConfig(only=SCOPE, mutants=("R10", "R11"))
 
 
 def triage_config():
@@ -173,7 +174,7 @@ class TestShrinkProperties:
                 cause.model,
                 cause.constraints,
                 max_sim_steps=CONFIG.max_sim_steps,
-                fault_describer_gaps=CONFIG.fault_describer_gaps,
+                mutants=CONFIG.mutants,
             )
             assert verdict.reproduced, cause.signature.canonical()
 

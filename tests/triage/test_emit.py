@@ -22,7 +22,7 @@ from repro.triage.emit import (
 )
 from tests.triage.test_signature import SIGNATURE
 
-CONFIG = CampaignConfig(fault_describer_gaps=("R10", "R11"))
+CONFIG = CampaignConfig(mutants=("R10", "R11"))
 
 
 def make_cause(**overrides):
@@ -89,7 +89,7 @@ class TestReproducerSource:
         assert SIGNATURE.digest in source
         assert "'backend': 'x86'" in source
         assert "('is_float(receiver)', True)" in source
-        assert "FAULT_DESCRIBER_GAPS = ('R10', 'R11')" in source
+        assert "MUTANTS = ('R10', 'R11')" in source
         assert "from repro.triage.replay import replay" in source
 
     def test_filename_is_slug_plus_digest(self):
