@@ -52,8 +52,6 @@ def test_mutation_recall_benchmark():
         CampaignConfig(only=SCOPE),
         None,  # the whole registry
         recall_budgets(),
-        convergence=True,
-        confirm_runs=2,
     )
 
     write_artifact("mutation_recall.txt", format_recall(report))
@@ -74,7 +72,9 @@ def test_mutation_recall_benchmark():
     from repro.mutation import get
 
     for outcome in report.outcomes:
-        if outcome.status != "caught" or outcome.new_cause_buckets is None:
+        # Counted for every mutant at the top budget.
+        assert outcome.new_cause_explanations is not None, outcome.mutant_id
+        if outcome.status != "caught":
             continue
         # Zero new buckets is legitimate: an interpreter mutant can
         # perturb records *inside* an existing cause bucket (detection

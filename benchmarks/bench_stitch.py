@@ -66,8 +66,6 @@ def test_stitch_benchmark():
         config,
         ("C3",),
         recall_budgets(),
-        convergence=True,
-        confirm_runs=2,
     )
 
     rendered = "\n".join([
@@ -100,7 +98,8 @@ def test_stitch_benchmark():
     assert outcome.corpus == "stitched"
     assert outcome.status == "caught"
     bound = get("C3").convergence_bound
-    if bound is not None and outcome.new_cause_buckets is not None:
+    assert outcome.new_cause_explanations is not None
+    if bound is not None:
         assert outcome.new_cause_explanations <= bound, (
             f"C3: {outcome.new_cause_explanations} explanations for one "
             f"seeded defect (bound {bound})"

@@ -15,13 +15,13 @@ Subcommands mirror the library's main entry points:
   defect triage with standalone reproducer emission (operator guides:
   docs/CAMPAIGN.md, docs/EXPLORATION.md, docs/PERFORMANCE.md,
   docs/TRIAGE.md, docs/INCREMENTAL.md);
-* ``mutate [--mutant ID] [--budgets N,N] [-j N] [--journal-dir DIR]
-  [--resume] [--json PATH] [--cache-dir DIR] [--no-cache]`` — the
-  detection-recall benchmark: seed each registered semantic mutant
-  into the live interpreter / JIT / simulator, re-run the campaign,
-  and report recall, time to first detection and triage convergence
-  (operator guide: docs/MUTATION.md); the result cache reuses
-  baseline cells a mutant does not touch across the sweep;
+* ``mutate [--mutant ID] [--budgets N,N] [--only NAME] [-j N]
+  [--journal-dir DIR] [--resume] [--json PATH] [--cache-dir DIR]
+  [--no-cache]`` — the detection-recall benchmark: re-run the campaign
+  under each registered semantic mutant and report recall, time to
+  first detection and the new cause buckets in its records (operator
+  guide: docs/MUTATION.md); the result cache reuses the cells a mutant
+  does not touch;
 * ``cache [--cache-dir DIR] [--gc] [--clear]`` — inspect, compact or
   delete the persistent result store (docs/INCREMENTAL.md);
 * ``stitch [--stitch-fragments N] [--stitch-max-methods N]
@@ -56,7 +56,14 @@ from repro.concolic.sequences import (
     sequence_spec,
 )
 from repro.difftest.report import format_table2, format_table3
-from repro.difftest.runner import CampaignConfig, run_campaign, test_instruction
+from repro.difftest.runner import (
+    CampaignConfig,
+    campaign_rows,
+    run_campaign,
+    sequence_campaign_rows,
+    stitched_campaign_rows,
+    test_instruction,
+)
 from repro.errors import BytecodeError
 from repro.interpreter.primitives import primitive_named, testable_primitives
 from repro.jit.machine.arm32 import Arm32Backend
@@ -105,27 +112,32 @@ def resolve_spec(name: str):
         raise SystemExit(f"unknown instruction: {name}")
 
 
-def parse_only(names) -> tuple:
-    """Check every ``--only`` name with :func:`resolve_spec`.
-
-    A misspelt name selects no cell: ``campaign`` would print all-zero
-    tables and exit 0, and ``mutate`` would report the mutant missed.
-    Unknown names exit before anything runs, all of them listed.
-    """
-    names = tuple(names or ())
-    unknown = []
-    for name in names:
-        try:
-            resolve_spec(name)
-        except SystemExit:
-            unknown.append(name)
-    if unknown:
+def check_planned(names, rows) -> None:
+    """Exit, listing them all, when ``--only`` names select no cell of
+    *rows*: a misspelt name, an untestable one (``pushThisContext``), a
+    ``seq:`` name without ``--sequences``, or one that
+    ``--max-bytecodes``/``--max-natives`` cut off would otherwise run
+    an all-zero campaign, and make ``mutate`` report a mutant missed."""
+    planned = {spec.name for row in rows for spec in row.specs}
+    idle = [name for name in names if name not in planned]
+    if idle:
         raise SystemExit(
-            "--only: unknown instruction name(s) "
-            + ", ".join(repr(name) for name in unknown)
-            + "; see `repro list`"
+            "--only: no planned cell for " + ", ".join(map(repr, idle))
+            + "; see `repro list`, --sequences, --stitch and "
+            "--max-bytecodes/--max-natives"
         )
-    return names
+
+
+def scope_config_kwargs(args) -> dict:
+    """``--max-bytecodes``/``--max-natives`` as CampaignConfig kwargs; a
+    negative count would slice from the corpus's end, so it exits."""
+    scope = dict(max_bytecodes=args.max_bytecodes,
+                 max_natives=args.max_natives)
+    for key, value in scope.items():
+        if value is not None and value < 0:
+            flag = "--" + key.replace("_", "-")
+            raise SystemExit(f"{flag} must be 0 or more, got {value}")
+    return scope
 
 
 def default_compiler_for(spec) -> str:
@@ -228,9 +240,8 @@ def cmd_campaign(args) -> int:
 
         mutants = parse_mutants(args.mutant)
     config = CampaignConfig(
-        max_bytecodes=args.max_bytecodes,
-        max_natives=args.max_natives,
-        only=parse_only(args.only),
+        **scope_config_kwargs(args),
+        only=tuple(args.only or ()),
         backends=tuple(BACKENDS[b] for b in args.backend),
         max_sim_steps=args.max_sim_steps,
         deadline_seconds=args.deadline,
@@ -255,18 +266,16 @@ def cmd_campaign(args) -> int:
     run_kwargs = dict(journal_path=args.journal, resume=args.resume,
                       jobs=args.jobs, triage=triage,
                       cache_dir=resolve_cache_dir(args))
-    rows = None
     if args.stitch:
-        from repro.difftest.runner import stitched_campaign_rows
-
         rows = stitched_campaign_rows(config)
     elif args.sequences:
-        from repro.difftest.runner import sequence_campaign_rows
-
         rows = sequence_campaign_rows(config)
+    else:
+        rows = campaign_rows(config)
+    check_planned(config.only, rows)
     reports = run_campaign(config, rows, **run_kwargs)
     print(format_table2(reports))
-    if rows is None:
+    if not (args.stitch or args.sequences):
         print()
         print(format_table3(reports))
     quarantine_section = format_quarantine(reports.quarantine)
@@ -324,6 +333,8 @@ def cmd_mutate(args) -> int:
     from repro.mutation import MUTANTS, parse_mutants
     from repro.mutation.recall import (
         DEFAULT_BUDGETS,
+        corpus_config,
+        corpus_rows,
         format_recall,
         run_recall,
     )
@@ -340,7 +351,6 @@ def cmd_mutate(args) -> int:
                   f"{mutant.description}{suffix}")
         return 0
     mutant_ids = parse_mutants(args.mutant) or None
-    only = parse_only(args.only)
     try:
         budgets = tuple(dict.fromkeys(
             int(part) for part in (args.budgets or "").split(",") if part.strip()
@@ -348,17 +358,25 @@ def cmd_mutate(args) -> int:
     except ValueError:
         raise SystemExit(f"--budgets must be comma-separated integers, "
                          f"got {args.budgets!r}")
+    if min(budgets) < 1:
+        raise SystemExit(f"--budgets entries must be 1 or more, "
+                         f"got {args.budgets!r}")
     if args.resume and not args.journal_dir:
         raise SystemExit("--resume requires --journal-dir")
     config = CampaignConfig(
-        max_bytecodes=args.max_bytecodes,
-        max_natives=args.max_natives,
-        only=only,
+        **scope_config_kwargs(args),
+        only=tuple(args.only or ()),
         backends=tuple(BACKENDS[b] for b in args.backend),
         max_sim_steps=args.max_sim_steps,
         deadline_seconds=args.deadline,
         **stitch_config_kwargs(args),
     )
+    # Main-corpus names against the main plan, ``stitch:`` names
+    # against the stitched plan: the split every sweep campaign makes.
+    for corpus in ("main", "stitched"):
+        scoped = corpus_config(config, corpus)
+        if scoped.only:
+            check_planned(scoped.only, corpus_rows(scoped, corpus))
 
     def progress(message: str) -> None:
         # Status lines go to stderr: stdout is the deterministic
@@ -372,8 +390,6 @@ def cmd_mutate(args) -> int:
         jobs=args.jobs,
         journal_dir=args.journal_dir,
         resume=args.resume,
-        convergence=not args.no_triage,
-        confirm_runs=args.confirm_runs,
         progress=progress,
         cache_dir=resolve_cache_dir(args),
     )
@@ -612,7 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--only", action="append", metavar="NAME",
         help="restrict the campaign to this instruction (repeatable); "
-             "applied after --max-bytecodes/--max-natives slicing",
+             "applied after --max-bytecodes/--max-natives slicing; a "
+             "name that selects no planned cell exits",
     )
     campaign.add_argument("--backend", action="append", choices=sorted(BACKENDS))
     campaign.add_argument(
@@ -723,14 +740,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mutate.add_argument(
         "--budgets", metavar="N,N,...", default=None,
-        help="comma-separated path budgets (max paths per instruction) "
-             "to sweep (default: 4,16,64)",
+        help="comma-separated path budgets (max paths per instruction, "
+             "each 1 or more) to sweep; cause buckets are counted at "
+             "the largest (default: 4,16,64)",
     )
     mutate.add_argument("--max-bytecodes", type=int)
     mutate.add_argument("--max-natives", type=int)
     mutate.add_argument(
         "--only", action="append", metavar="NAME",
-        help="restrict the campaigns to this instruction (repeatable)",
+        help="restrict the campaigns to this instruction (repeatable); "
+             "stitch: names scope the stitched corpus, the others the "
+             "main one; a name that selects no planned cell exits",
     )
     mutate.add_argument("--backend", action="append", choices=sorted(BACKENDS))
     mutate.add_argument(
@@ -753,16 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     mutate.add_argument(
         "--resume", action="store_true",
         help="replay cells already journaled in --journal-dir",
-    )
-    mutate.add_argument(
-        "--no-triage", action="store_true",
-        help="skip the triage-convergence measurement (recall and "
-             "first-detection only)",
-    )
-    mutate.add_argument(
-        "--confirm-runs", type=int, default=2, metavar="N",
-        help="confirmation re-runs per cause bucket during the "
-             "convergence measurement (default: 2)",
     )
     mutate.add_argument(
         "--json", metavar="PATH",

@@ -19,9 +19,10 @@ Three quantities per mutant (docs/MUTATION.md):
   wall-clock: the whole report stays byte-identical across ``-j1`` /
   ``-jN`` / ``--resume`` (wall-clock seconds are collected too, but
   only surface in the benchmark JSON when explicitly requested);
-* **triage convergence** — cause buckets the triage pipeline creates
-  for the mutant *beyond* the baseline's buckets, at the largest
-  budget (ideally 1: one seeded defect, one explanation).
+* **triage convergence** — cause buckets the mutant's campaign holds
+  *beyond* the baseline's, at the largest budget (ideally 1: one
+  seeded defect, one explanation), bucketed as ``campaign --triage``
+  does, from the campaign's own records: nothing is re-executed.
 
 Every run is a plain :func:`repro.difftest.runner.run_campaign` call
 with ``config.mutants`` set, so parallel sharding, journaling and
@@ -53,7 +54,11 @@ from repro.difftest.runner import (
     stitched_campaign_rows,
 )
 from repro.mutation import registry
-from repro.triage import TriageConfig
+from repro.triage.candidates import (
+    bucket_candidates,
+    collect_crashes,
+    collect_divergences,
+)
 
 #: Default path budgets (``max_paths_per_instruction``) the recall
 #: sweep runs at; mirrors the paper's budget axis in Fig. 5.
@@ -130,8 +135,7 @@ class MutantOutcome:
     #: budget -> wall-clock seconds of the mutated campaign (collected
     #: always, reported only in timing-enabled JSON).
     seconds: dict = field(default_factory=dict)
-    #: Cause buckets triage created beyond the baseline's (None when
-    #: convergence was not measured for this mutant).
+    #: Cause buckets beyond the baseline's, at the top budget.
     new_cause_buckets: int | None = None
     total_cause_buckets: int | None = None
     #: The new buckets collapsed by defect explanation — distinct
@@ -191,8 +195,8 @@ class RecallReport:
     #: budget -> comparison-record count of the unmutated main-corpus
     #: baseline (absent when no selected mutant uses the main corpus).
     baseline_records: dict = field(default_factory=dict)
-    #: Baseline triage cause-bucket count at the convergence budget
-    #: (None when convergence was skipped).
+    #: Baseline cause-bucket count at the convergence budget (None
+    #: when no selected mutant uses the main corpus).
     baseline_cause_buckets: int | None = None
     #: Same accounting for the stitched-method corpus, populated only
     #: when a selected mutant declares ``corpus="stitched"``.
@@ -261,25 +265,26 @@ def _journal_for(journal_dir, phase: str, budget: int):
     return str(path), path.exists()
 
 
-def _all_causes(triage_report) -> list:
-    return list(triage_report.causes) + list(triage_report.crash_causes)
-
-
-def _cause_digests(triage_report) -> set:
-    return {c.signature.digest for c in _all_causes(triage_report)}
+def _cause_signatures(result) -> list:
+    """The campaign's cause buckets as ``campaign --triage`` makes them
+    (no mutant patches the bucketing): divergences, then crashes."""
+    buckets = list(bucket_candidates(collect_divergences(result)).values())
+    buckets += bucket_candidates(collect_crashes(result.quarantine)).values()
+    return [signature for signature, _group in buckets]
 
 
 #: corpus name -> journal phase of its unmutated baseline run.
 _BASELINE_PHASES = {"main": "baseline", "stitched": "baseline-stitched"}
 
 
-def _rows_for(config: CampaignConfig, corpus: str) -> list:
+def corpus_rows(config: CampaignConfig, corpus: str) -> list:
+    """The canonical plan of *corpus* ("main" | "stitched")."""
     if corpus == "stitched":
         return stitched_campaign_rows(config)
     return campaign_rows(config)
 
 
-def _corpus_config(config: CampaignConfig, corpus: str) -> CampaignConfig:
+def corpus_config(config: CampaignConfig, corpus: str) -> CampaignConfig:
     """Scope ``config.only`` to the entries the corpus can resolve.
 
     A mixed ``--only`` list (main instruction names plus ``stitch:``
@@ -295,16 +300,14 @@ def _corpus_config(config: CampaignConfig, corpus: str) -> CampaignConfig:
 
 
 def _run_one(config: CampaignConfig, *, corpus: str, jobs, journal_dir,
-             resume, phase: str, budget: int, triage: TriageConfig | None,
-             cache_dir=None):
+             resume, phase: str, budget: int, cache_dir=None):
     journal_path, exists = _journal_for(journal_dir, phase, budget)
     return run_campaign(
         config,
-        _rows_for(config, corpus),
+        corpus_rows(config, corpus),
         jobs=jobs,
         journal_path=journal_path,
         resume=bool(resume and exists),
-        triage=triage,
         cache_dir=cache_dir,
     )
 
@@ -317,8 +320,6 @@ def run_recall(
     jobs: int = 1,
     journal_dir=None,
     resume: bool = False,
-    convergence: bool = True,
-    confirm_runs: int = 2,
     progress=None,
     cache_dir=None,
 ) -> RecallReport:
@@ -341,7 +342,7 @@ def run_recall(
     for mid in ids:
         registry.get(mid)  # fail fast on typos
     budgets = tuple(dict.fromkeys(budgets)) or DEFAULT_BUDGETS
-    convergence_budget = max(budgets) if convergence else None
+    convergence_budget = max(budgets)
 
     def note(message: str) -> None:
         if progress is not None:
@@ -367,43 +368,36 @@ def run_recall(
     baseline_digests: dict = {}
     for budget in budgets:
         measure_convergence = budget == convergence_budget
-        triage = (
-            TriageConfig(confirm_runs=confirm_runs, repro_dir=None,
-                         shrink=False, self_verify=False)
-            if measure_convergence else None
-        )
         baseline_fps: dict = {}
         for corpus in corpora:
             base_config = replace(
-                _corpus_config(config, corpus),
+                corpus_config(config, corpus),
                 max_paths_per_instruction=budget, mutants=(),
             )
             phase = _BASELINE_PHASES[corpus]
-            note(f"{phase} @ budget {budget}"
-                 + (" (+triage)" if triage else ""))
+            note(f"{phase} @ budget {budget}")
             baseline = _run_one(
                 base_config, corpus=corpus, jobs=jobs,
                 journal_dir=journal_dir, resume=resume, phase=phase,
-                budget=budget, triage=triage, cache_dir=cache_dir,
+                budget=budget, cache_dir=cache_dir,
             )
             baseline_fps[corpus] = campaign_fingerprint(baseline)
             records = report.baseline_records if corpus == "main" \
                 else report.stitched_baseline_records
             records[budget] = len(baseline_fps[corpus])
-            if measure_convergence and baseline.triage is not None:
-                baseline_digests[corpus] = _cause_digests(baseline.triage)
+            if measure_convergence:
+                known = {s.digest for s in _cause_signatures(baseline)}
+                baseline_digests[corpus] = known
                 if corpus == "main":
-                    report.baseline_cause_buckets = \
-                        len(baseline_digests[corpus])
+                    report.baseline_cause_buckets = len(known)
                 else:
-                    report.stitched_baseline_cause_buckets = \
-                        len(baseline_digests[corpus])
+                    report.stitched_baseline_cause_buckets = len(known)
 
         for mid in ids:
             outcome = outcomes[mid]
             corpus = outcome.corpus
             mutant_config = replace(
-                _corpus_config(config, corpus),
+                corpus_config(config, corpus),
                 max_paths_per_instruction=budget, mutants=(mid,),
             )
             note(f"mutant {mid} @ budget {budget}")
@@ -411,8 +405,7 @@ def run_recall(
             mutated = _run_one(
                 mutant_config, corpus=corpus, jobs=jobs,
                 journal_dir=journal_dir, resume=resume,
-                phase=f"mutant-{mid}", budget=budget, triage=triage,
-                cache_dir=cache_dir,
+                phase=f"mutant-{mid}", budget=budget, cache_dir=cache_dir,
             )
             outcome.seconds[budget] = time.perf_counter() - start
             mutated_fp = campaign_fingerprint(mutated)
@@ -422,17 +415,14 @@ def run_recall(
             perf.incr("mutation.runs")
             if deviation is not None:
                 perf.incr("mutation.detections")
-            if measure_convergence and mutated.triage is not None:
-                causes = _all_causes(mutated.triage)
-                known = baseline_digests.get(corpus, set())
-                new = [
-                    c for c in causes
-                    if c.signature.digest not in known
-                ]
+            if measure_convergence:
+                signatures = _cause_signatures(mutated)
+                known = baseline_digests[corpus]
+                new = [s for s in signatures if s.digest not in known]
                 outcome.new_cause_buckets = len(new)
-                outcome.total_cause_buckets = len(causes)
+                outcome.total_cause_buckets = len(signatures)
                 outcome.new_cause_explanations = len({
-                    (c.signature.category, c.signature.cause) for c in new
+                    (s.category, s.cause) for s in new
                 })
                 outcome.convergence_budget = budget
     return report
@@ -468,14 +458,11 @@ def format_recall(report: RecallReport) -> str:
             None,
         )
         first_text = "-" if first is None else f"#{first[0]} {first[1]}"
-        if outcome.new_cause_buckets is None:
-            causes = "-"
-        else:
-            causes = (
-                f"{outcome.new_cause_buckets} new "
-                f"({outcome.new_cause_explanations} expl)"
-                f"/{outcome.total_cause_buckets}"
-            )
+        causes = (
+            f"{outcome.new_cause_buckets} new "
+            f"({outcome.new_cause_explanations} expl)"
+            f"/{outcome.total_cause_buckets}"
+        )
         lines.append(
             f"{outcome.mutant_id:8s} {outcome.family:12s} "
             f"{outcome.corpus:8s} {outcome.status:8s} "

@@ -128,7 +128,7 @@ def parse_mutants(values) -> tuple:
 
     Raises ``SystemExit`` with the registered inventory on a typo, so
     a misspelt id never runs a silently unmutated campaign (``--only``
-    names get the same check in :func:`repro.cli.parse_only`).
+    names get the same check in :func:`repro.cli.check_planned`).
     """
     seen: list[str] = []
     for value in values or ():

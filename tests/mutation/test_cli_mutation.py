@@ -42,6 +42,14 @@ class TestMutateCommand:
         with pytest.raises(SystemExit, match="--budgets"):
             main(["mutate", "--budgets", "4,x"])
 
+    @pytest.mark.parametrize("budgets", ["0", "-2", "4,0"])
+    def test_rejects_budgets_below_one(self, budgets):
+        # A budget of 0 explores no path, so every mutant would read
+        # `missed`.
+        with pytest.raises(SystemExit, match="--budgets"):
+            main(["mutate", "--mutant", "C1", "--budgets", budgets,
+                  "--only", "bytecodePrimLessThan"])
+
     def test_resume_requires_journal_dir(self):
         with pytest.raises(SystemExit, match="--journal-dir"):
             main(["mutate", "--resume"])
@@ -51,7 +59,7 @@ class TestMutateCommand:
         code = main([
             "mutate", "--mutant", "R10",
             "--only", "primitiveFloatTruncated",
-            "--budgets", "4", "--no-triage",
+            "--budgets", "4",
             "--json", str(json_path),
         ])
         assert code == 0

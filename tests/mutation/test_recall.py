@@ -2,24 +2,27 @@
 
 `run_recall` is the tentpole's measurement half: baseline vs mutated
 campaign fingerprints per budget, plan-order first-detection indices,
-and triage convergence at the top budget.  The sweep's stdout surface
-(and its timing-free JSON) must be byte-identical across ``-j1`` /
-``-jN`` / ``--resume`` — asserted here end to end.
+and triage convergence at the top budget, counted from each campaign's
+own records with the buckets `campaign --triage` makes.  The sweep's
+stdout surface (and its timing-free JSON) must be byte-identical
+across ``-j1`` / ``-jN`` / ``--resume`` — asserted here end to end.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.difftest.runner import CampaignConfig
+from repro.difftest.runner import CampaignConfig, run_campaign
 from repro.mutation.recall import (
     campaign_fingerprint,
     first_divergence,
     format_recall,
     run_recall,
 )
+from repro.triage import TriageConfig
 
 
 def _line(instruction="bytecodePrimAdd", compiler="simple", backend="x86",
@@ -51,14 +54,26 @@ class TestFirstDivergence:
         assert label.startswith("bytecodePrimAdd[s2r")
 
 
+SWEEP_CONFIG = CampaignConfig(
+    only=("primitiveFloatTruncated", "bytecodePrimLessThan"),
+)
+
+
+def _counts(report) -> dict:
+    return {
+        "baseline": report.baseline_cause_buckets,
+        "mutants": {
+            o.mutant_id: (o.new_cause_buckets, o.total_cause_buckets,
+                          o.new_cause_explanations)
+            for o in report.outcomes
+        },
+    }
+
+
 @pytest.fixture(scope="module")
 def sweep():
-    """One real sweep: two catchable mutants, one budget, with triage."""
-    config = CampaignConfig(
-        only=("primitiveFloatTruncated", "bytecodePrimLessThan"),
-    )
-    return run_recall(config, ("R10", "C1"), (4,), convergence=True,
-                      confirm_runs=1)
+    """One real sweep: two catchable mutants, one budget."""
+    return run_recall(SWEEP_CONFIG, ("R10", "C1"), (4,))
 
 
 class TestSweep:
@@ -103,10 +118,55 @@ class TestSweep:
         assert "Recall over the expected-caught subset: 2/2 (100.0%)" in text
 
 
+class TestCauseCount:
+    """The convergence count reads the campaigns' records: it runs no
+    triage, and it counts what `campaign --triage` would bucket."""
+
+    #: Triage without re-execution: confirmation, shrinking and
+    #: reproducers off, so only the buckets are computed.
+    TRIAGE = TriageConfig(confirm_runs=0, shrink=False, repro_dir=None,
+                          self_verify=False)
+
+    def test_sweep_runs_no_triage(self, sweep, monkeypatch):
+        from repro.triage import lab
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the recall sweep ran a triage lab")
+
+        monkeypatch.setattr(lab.TriageLab, "__init__", refuse)
+        report = run_recall(SWEEP_CONFIG, ("R10", "C1"), (4,))
+        assert _counts(report) == _counts(sweep)
+
+    def _triaged(self, config) -> int:
+        result = run_campaign(config, triage=self.TRIAGE)
+        return len(result.triage.causes) + len(result.triage.crash_causes)
+
+    def test_counts_match_campaign_triage(self, sweep):
+        scoped = replace(SWEEP_CONFIG, max_paths_per_instruction=4)
+        assert sweep.baseline_cause_buckets == self._triaged(scoped)
+        assert sweep.outcome("C1").total_cause_buckets == self._triaged(
+            replace(scoped, mutants=("C1",)))
+
+    def test_crash_buckets_are_counted(self):
+        from repro.robustness.faults import FaultPlan, inject_faults
+
+        plan = FaultPlan(stage="compile", instruction="bytecodePrimLessThan",
+                         compiler="SimpleStackBasedCogit")
+        with inject_faults(plan):
+            report = run_recall(SWEEP_CONFIG, ("R10",), (4,))
+            scoped = replace(SWEEP_CONFIG, max_paths_per_instruction=4)
+            result = run_campaign(scoped, triage=self.TRIAGE)
+            mutated = self._triaged(replace(scoped, mutants=("R10",)))
+        assert result.quarantine and result.triage.crash_causes
+        assert report.baseline_cause_buckets == (
+            len(result.triage.causes) + len(result.triage.crash_causes))
+        assert report.outcome("R10").total_cause_buckets == mutated
+
+
 class TestDeterminism:
     def test_byte_identical_across_jobs_and_resume(self, tmp_path):
         config = CampaignConfig(only=("primitiveFloatTruncated",))
-        kwargs = dict(budgets=(4,), convergence=False)
+        kwargs = dict(budgets=(4,))
         sequential = run_recall(
             config, ("R10",), jobs=1,
             journal_dir=tmp_path / "seq", **kwargs,
@@ -131,8 +191,6 @@ class TestBaselineUndisturbed:
         # The acceptance criterion from the other side: after a whole
         # recall sweep (many apply/revert cycles), a fresh unmutated
         # campaign still fingerprints identically to a fresh one.
-        from repro.difftest.runner import run_campaign
-
         config = CampaignConfig(
             only=("bytecodePrimLessThan",), max_paths_per_instruction=4,
         )
@@ -148,7 +206,7 @@ class TestCacheEconomics:
     CONFIG = CampaignConfig(only=("pushTrue", "bytecodePrimLessThan"))
 
     def test_cached_sweep_is_byte_identical(self, tmp_path):
-        kwargs = dict(budgets=(4,), convergence=False)
+        kwargs = dict(budgets=(4,))
         plain = run_recall(self.CONFIG, ("C1",), **kwargs)
         cache_dir = str(tmp_path / "cache")
         cold = run_recall(self.CONFIG, ("C1",), cache_dir=cache_dir,
@@ -169,8 +227,7 @@ class TestCacheEconomics:
         from repro.incremental import ResultStore
 
         cache_dir = str(tmp_path / "cache")
-        run_recall(self.CONFIG, ("C1",), budgets=(4,), convergence=False,
-                   cache_dir=cache_dir)
+        run_recall(self.CONFIG, ("C1",), budgets=(4,), cache_dir=cache_dir)
         store = ResultStore(cache_dir)
         store.load()
         # 6 baseline cells (2 bytecodes x 3 compilers) + 3 invalidated.

@@ -93,9 +93,7 @@ class TestC3Recall:
         # a state single-instruction tests never reach.  The stitched
         # sweep must catch it (as a parse-time stack underflow compile
         # error, a clean fingerprint delta).
-        report = run_recall(
-            CONFIG, ("C3",), (4,), convergence=False,
-        )
+        report = run_recall(CONFIG, ("C3",), (4,))
         outcome = report.outcome("C3")
         assert outcome.corpus == "stitched"
         assert outcome.status == "caught"

@@ -43,7 +43,9 @@ class TestResolveSpec:
 
 
 class TestOnlyValidation:
-    """A misspelt `--only` name exits before anything runs."""
+    """An `--only` name that selects no planned cell exits before
+    anything runs: misspelt, untestable, or outside the planned corpus
+    or slice."""
 
     def test_campaign_rejects_a_misspelt_name(self):
         with pytest.raises(SystemExit, match="primitiveFloatTruncatd"):
@@ -63,16 +65,74 @@ class TestOnlyValidation:
         # Running would report the mutant `missed`: a false verdict.
         with pytest.raises(SystemExit, match="primitiveModd"):
             main(["mutate", "--mutant", "I1", "--budgets", "4",
-                  "--only", "primitiveModd", "--no-triage"])
+                  "--only", "primitiveModd"])
 
-    def test_every_name_kind_passes(self):
-        from repro.cli import parse_only
+    def test_campaign_rejects_names_that_plan_no_cell(self):
+        # Each resolves, but none is a testable instruction.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--backend", "x86", "--only", "pushTrue",
+                  "--only", "pushThisContext", "--only", "callPrimitive",
+                  "--only", "primitiveStringCompare"])
+        message = str(excinfo.value)
+        for name in ("pushThisContext", "callPrimitive",
+                     "primitiveStringCompare"):
+            assert repr(name) in message
+        assert "pushTrue" not in message
 
-        names = ("primitiveMod", "pushTrue",
-                 "seq:pushOne+longJump+nop+pushTwo+bytecodePrimAdd",
-                 "stitch:pushOne+pushTwo")
-        assert parse_only(list(names)) == names
-        assert parse_only(None) == ()
+    def test_campaign_rejects_a_sequence_without_sequences(self):
+        with pytest.raises(SystemExit, match="seq:pushTrue"):
+            main(["campaign", "--backend", "x86",
+                  "--only", "seq:pushTrue+popStackTop"])
+
+    def test_campaign_rejects_names_cut_off_by_the_slice(self):
+        # The first two byte-codes are pushReceiverVariable0/1, the
+        # first native primitiveAdd.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--backend", "x86", "--max-bytecodes", "2",
+                  "--max-natives", "1", "--only", "pushReceiverVariable1",
+                  "--only", "pushTrue", "--only", "primitiveMod"])
+        message = str(excinfo.value)
+        assert "'pushTrue'" in message and "'primitiveMod'" in message
+        assert "pushReceiverVariable1" not in message
+
+    def test_mutate_rejects_a_name_that_plans_no_cell(self):
+        with pytest.raises(SystemExit, match="pushThisContext"):
+            main(["mutate", "--mutant", "I1", "--budgets", "4",
+                  "--only", "pushThisContext"])
+
+    def test_mutate_rejects_a_stitch_name_outside_the_stitched_plan(self):
+        # It parses as a stitched method, but the small corpus does not
+        # derive it; the main-corpus name beside it is planned.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mutate", "--mutant", "C3", "--budgets", "4",
+                  "--stitch-max-methods", "2", "--stitch-paths", "2",
+                  "--only", "stitch:pushOne+pushTwo",
+                  "--only", "bytecodePrimLessThan"])
+        message = str(excinfo.value)
+        assert "'stitch:pushOne+pushTwo'" in message
+        assert "bytecodePrimLessThan" not in message
+
+    def test_every_planned_name_kind_passes(self):
+        from dataclasses import replace
+
+        from repro.cli import check_planned
+        from repro.difftest.runner import (
+            CampaignConfig,
+            campaign_rows,
+            sequence_campaign_rows,
+            stitched_campaign_rows,
+        )
+
+        small = CampaignConfig(stitch_max_methods=2,
+                               stitch_paths_per_fragment=2)
+        stitched = stitched_campaign_rows(small)[0].specs[0].name
+        for plan, names in (
+            (campaign_rows, ("primitiveMod", "pushTrue")),
+            (sequence_campaign_rows,
+             ("seq:pushOne+longJump+nop+pushTwo+bytecodePrimAdd",)),
+            (stitched_campaign_rows, (stitched,)),
+        ):
+            check_planned(names, plan(replace(small, only=names)))
 
     def test_curated_sequence_with_a_jump_runs(self, capsys):
         assert main(["campaign", "--sequences", "--backend", "x86",
@@ -80,6 +140,26 @@ class TestOnlyValidation:
                      "seq:pushOne+longJump+nop+pushTwo+bytecodePrimAdd"]) == 0
         out = capsys.readouterr().out
         assert "StackToRegisterCogit (sequences)" in out
+
+
+class TestScopeValidation:
+    """A negative slice count would plan from the corpus's end."""
+
+    @pytest.mark.parametrize("flag", ["--max-bytecodes", "--max-natives"])
+    @pytest.mark.parametrize("command", [
+        ["campaign"], ["mutate", "--mutant", "I1", "--budgets", "4"],
+    ], ids=["campaign", "mutate"])
+    def test_negative_count_exits(self, command, flag):
+        # pushTrue and primitiveMod survive a [:-5] slice, so without
+        # the check the command would run.
+        with pytest.raises(SystemExit, match=flag):
+            main([*command, flag, "-5", "--backend", "x86",
+                  "--only", "pushTrue", "--only", "primitiveMod"])
+
+    def test_zero_count_stays_legal(self, capsys):
+        assert main(["campaign", "--backend", "x86", "--max-bytecodes", "0",
+                     "--max-natives", "1"]) == 0
+        assert "Native Methods (primitives)" in capsys.readouterr().out
 
 
 class TestCommands:
