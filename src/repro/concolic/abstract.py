@@ -55,9 +55,6 @@ class AbstractObjectSpec:
     value: AbstractValue
     touched_slots: set[int] = field(default_factory=set)
 
-    def slot_values(self) -> dict[int, AbstractValue]:
-        return {index: self.value.slot(index) for index in sorted(self.touched_slots)}
-
 
 @dataclass
 class AbstractFrameSpec:

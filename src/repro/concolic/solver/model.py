@@ -243,9 +243,6 @@ class Model:
         except Exception:
             return False
 
-    def oop_var_names(self):
-        return sorted(self.kinds)
-
     # ------------------------------------------------------------------
     # serialization (for generated test suites)
 

@@ -285,9 +285,6 @@ class SymbolicObjectMemory(ObjectMemory):
             return ConcolicBool(concrete, kind_predicate("is_float", abstract.variable))
         return concrete
 
-    def is_pointer_format(self, oop):
-        return self.format_of(oop).is_pointers
-
     # ------------------------------------------------------------------
     # slots
 

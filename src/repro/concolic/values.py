@@ -37,10 +37,6 @@ from repro.concolic.trace import PathTrace
 _ACTIVE_TRACE: Optional[PathTrace] = None
 
 
-def active_trace() -> Optional[PathTrace]:
-    return _ACTIVE_TRACE
-
-
 @contextlib.contextmanager
 def tracing(trace: PathTrace):
     """Install *trace* as the recorder for the dynamic extent."""
@@ -424,7 +420,3 @@ class ConcolicOop:
 def oop_concrete(value) -> int:
     """The raw oop behind either a ConcolicOop or a plain integer oop."""
     return value.concrete if isinstance(value, ConcolicOop) else int(value)
-
-
-def oop_variable(value) -> Optional[Term]:
-    return value.variable if isinstance(value, ConcolicOop) else None

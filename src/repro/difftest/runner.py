@@ -662,10 +662,10 @@ def _run_shards(config: CampaignConfig, rows: list[ExperimentRow],
     fingerprints: dict = {}
     served: dict = {}
     if cache_dir:
-        from repro.incremental import ResultStore, plan_fingerprints
+        from repro.incremental import plan_fingerprints
+        from repro.incremental.store import campaign_store
 
-        store = ResultStore(str(cache_dir))
-        store.load()
+        store = campaign_store(cache_dir)
         fingerprints = plan_fingerprints(rows, config)
         for key, fingerprint in fingerprints.items():
             cached = store.get(fingerprint, key)
@@ -687,16 +687,20 @@ def _run_shards(config: CampaignConfig, rows: list[ExperimentRow],
             result.cached_cells += 1
     shards = plan_shards(rows, records)
     deadline = Deadline(config.deadline_seconds)
-    if jobs == 1:
-        _serve_in_process(config, rows, shards, records, result, deadline,
-                          journal, store, fingerprints)
-    else:
-        from repro.parallel.pool import run_parallel_rows
+    try:
+        if jobs == 1:
+            _serve_in_process(config, rows, shards, records, result,
+                              deadline, journal, store, fingerprints)
+        else:
+            from repro.parallel.pool import run_parallel_rows
 
-        run_parallel_rows(config, rows, shards, records, result,
-                          jobs=jobs, deadline=deadline, journal=journal,
-                          store=store, fingerprints=fingerprints,
-                          cache_dir=cache_dir)
+            run_parallel_rows(config, rows, shards, records, result,
+                              jobs=jobs, deadline=deadline, journal=journal,
+                              store=store, fingerprints=fingerprints,
+                              cache_dir=cache_dir)
+    finally:
+        if journal is not None:
+            journal.close()
     merge_records(rows, records, result)
     if journal is not None and resume:
         result.journal_replay = journal.replay

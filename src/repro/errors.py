@@ -80,16 +80,3 @@ class SimulationError(MachineError):
     """
 
 
-class SolverError(ReproError):
-    """The constraint solver failed (unsupported theory, precision, ...)."""
-
-
-class UnsatisfiableError(SolverError):
-    """The path condition has no model."""
-
-
-class PrecisionExceeded(SolverError):
-    """A constraint needs more integer precision than the solver supports.
-
-    Mirrors the paper's 56-bit constraint-solver limitation (Section 4.3).
-    """

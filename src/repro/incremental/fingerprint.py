@@ -40,7 +40,7 @@ from pathlib import Path
 
 #: Bumped when the fingerprint recipe itself changes; feeds the store's
 #: on-disk CACHE_VERSION so stale stores degrade to a cold run.
-FINGERPRINT_VERSION = 2
+FINGERPRINT_VERSION = 3
 
 _RENDER_DEPTH_LIMIT = 8
 
@@ -255,7 +255,7 @@ def _spec_bytecodes(spec):
     return tuple(bc for bc, _operands in _sequence_of(spec))
 
 
-def _interpreter_members(spec, edge_memo=None) -> dict:
+def _interpreter_roots(spec) -> list:
     from repro.interpreter.interpreter import Interpreter
 
     roots = [Interpreter.step, type(spec).execute, type(spec).build_method]
@@ -267,7 +267,7 @@ def _interpreter_members(spec, edge_memo=None) -> dict:
             handler = getattr(Interpreter, "bc_" + bytecode.family.name, None)
             if handler is not None:
                 roots.append(handler)
-    return _walk_members(roots, _interpreter_namespaces(), edge_memo)
+    return roots
 
 
 #: Operand-stack strategy + driver methods every byte-code front-end
@@ -291,18 +291,16 @@ _COMPILER_MACHINERY = (
 )
 
 
-def _compiler_members(spec, compiler_class, edge_memo=None) -> dict:
-    label = compiler_class.__name__
+def _compiler_roots(spec, compiler_class) -> list:
     roots = []
     for name in _COMPILER_MACHINERY:
         member = getattr(compiler_class, name, None)
         if member is not None:
             roots.append(member)
     if spec.kind == "native":
-        for native in (spec.native,):
-            template = getattr(compiler_class, "tpl_" + native.name, None)
-            if template is not None:
-                roots.append(template)
+        template = getattr(compiler_class, "tpl_" + spec.native.name, None)
+        if template is not None:
+            roots.append(template)
     else:
         for bytecode in _spec_bytecodes(spec):
             generator = getattr(
@@ -310,7 +308,16 @@ def _compiler_members(spec, compiler_class, edge_memo=None) -> dict:
             )
             if generator is not None:
                 roots.append(generator)
-    return _walk_members(roots, [(label, compiler_class)], edge_memo)
+    return roots
+
+
+def _root_groups(spec, compiler_class) -> list:
+    """``(group, roots, namespaces)``: interpreter, then compiler."""
+    return [
+        ("interpreter", _interpreter_roots(spec), _interpreter_namespaces()),
+        (compiler_class.__name__, _compiler_roots(spec, compiler_class),
+         [(compiler_class.__name__, compiler_class)]),
+    ]
 
 
 def _environment_members() -> dict:
@@ -412,39 +419,48 @@ def _budget_signature(config) -> tuple:
 # public API
 
 
-def fingerprint_members(spec, compiler_class, _memo=None) -> dict:
+def fingerprint_members(spec, compiler_class) -> dict:
     """``{(label, name): live object}`` — the cell's semantic closure.
 
     Exposed for the invalidation property test: a mutant must change a
     cell's fingerprint iff one of these resolved objects is the
-    attribute it patched.
-
-    ``_memo`` shares the three member walks across the cells of one
-    :func:`plan_fingerprints` pass (the interpreter closure depends
-    only on the spec, not the compiler; the environment members on
-    neither) — valid only while the live patch state is fixed, which
-    the pass guarantees by fingerprinting under one ``activated()``.
+    attribute it patched.  It is the union of the closures
+    :func:`cell_fingerprint` digests root by root.
     """
-    if _memo is None:
-        _memo = {}
-    edge_memo = _memo.setdefault("edges", {})
-    interp_key = ("interp", type(spec), spec.kind, spec.name)
-    if interp_key not in _memo:
-        _memo[interp_key] = _interpreter_members(spec, edge_memo)
-    comp_key = ("comp", type(spec), spec.kind, spec.name, compiler_class)
-    if comp_key not in _memo:
-        _memo[comp_key] = _compiler_members(spec, compiler_class, edge_memo)
-    if "env" not in _memo:
-        _memo["env"] = _environment_members()
     members = {}
-    members.update(_memo[interp_key])
-    members.update(_memo[comp_key])
-    members.update(_memo["env"])
+    for _group, roots, namespaces in _root_groups(spec, compiler_class):
+        members.update(_walk_members(roots, namespaces))
+    members.update(_environment_members())
     return members
 
 
+def _members_digest(members: dict, digests: dict) -> str:
+    """Hash of sorted ``label.name=digest`` lines.  *digests* memoizes
+    by identity and holds each object, so no id is reused mid-pass."""
+    lines = []
+    for label, name in sorted(members):
+        value = members[(label, name)]
+        held = digests.get(id(value))
+        if held is None:
+            held = digests[id(value)] = (value, _member_digest(value))
+        lines.append(f"{label}.{name}={held[1]}")
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
 def cell_fingerprint(spec, compiler_class, config, _memo=None) -> str:
-    """The content-addressed identity of one campaign cell."""
+    """The content-addressed identity of one campaign cell.
+
+    The closure enters as one digest per root and one for the
+    environment.  ``_memo`` shares those digests (and the walks' name
+    resolutions) across the cells of one :func:`plan_fingerprints`
+    pass — valid only while the live patch state is fixed, which the
+    pass guarantees by fingerprinting under one ``activated()``.
+    """
+    if _memo is None:
+        _memo = {}
+    edges = _memo.setdefault("edges", {})
+    digests = _memo.setdefault("digests", {})
+    closures = _memo.setdefault("closures", {})
     parts = [
         f"fingerprint:{FINGERPRINT_VERSION}",
         f"python:{sys.version_info[0]}.{sys.version_info[1]}",
@@ -452,20 +468,21 @@ def cell_fingerprint(spec, compiler_class, config, _memo=None) -> str:
         "knobs:" + _render_value(_budget_signature(config)),
         "sources:" + _static_environment_hash(),
     ]
-    members = fingerprint_members(spec, compiler_class, _memo)
-    digests = None if _memo is None else _memo.setdefault("digests", {})
-    for (label, name) in sorted(members):
-        value = members[(label, name)]
-        if digests is None:
-            digest = _member_digest(value)
-        else:
-            # Keyed by identity: class attributes stay alive for the
-            # whole pass, and the pass runs under one activated() so a
-            # given object's digest cannot change mid-pass.
-            digest = digests.get(id(value))
+    for group, roots, namespaces in _root_groups(spec, compiler_class):
+        scope = tuple(namespace for _label, namespace in namespaces)
+        for index, root in enumerate(roots):
+            func = _function_of(root)
+            if func is None:
+                continue
+            digest = closures.get((func, scope))
             if digest is None:
-                digest = digests[id(value)] = _member_digest(value)
-        parts.append(f"{label}.{name}={digest}")
+                digest = closures[(func, scope)] = _members_digest(
+                    _walk_members([func], namespaces, edges), digests)
+            parts.append(f"{group}[{index}]={digest}")
+    if "environment" not in _memo:
+        _memo["environment"] = _members_digest(_environment_members(),
+                                               digests)
+    parts.append("environment=" + _memo["environment"])
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
@@ -481,7 +498,7 @@ def plan_fingerprints(rows, config) -> dict:
 
     fingerprints: dict = {}
     memo: dict = {}
-    member_memo: dict = {}
+    closure_memo: dict = {}
     with activated(getattr(config, "mutants", ())):
         for cell in plan_cells(rows):
             row = rows[cell.row_index]
@@ -490,7 +507,7 @@ def plan_fingerprints(rows, config) -> dict:
                         cell.compiler)
             if memo_key not in memo:
                 memo[memo_key] = cell_fingerprint(
-                    spec, row.compiler_class, config, member_memo
+                    spec, row.compiler_class, config, closure_memo
                 )
             fingerprints[cell.key] = memo[memo_key]
     return fingerprints

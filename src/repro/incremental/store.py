@@ -4,12 +4,15 @@ An append-only JSONL file mapping semantic fingerprints to serialized
 cell records — the same dicts the campaign journal holds, so a cache
 hit is rebuilt by the exact machinery that rebuilds a resumed cell.
 
-Durability discipline is inherited from the journal
-(:mod:`repro.robustness.checkpoint`): one ``os.write`` on an
-``O_APPEND`` descriptor per record, a CRC-32 over the payload, version
-field per line — concurrent writers (parallel campaign workers, or two
-campaigns sharing one cache) never tear each other's records, and a
-torn line is skipped on load, not trusted and not fatal.
+The store is a key scheme over the journal's record log
+(:class:`repro.robustness.checkpoint.RecordLog`): one ``os.write`` on
+an ``O_APPEND`` descriptor per record, a CRC-32 over the payload, a
+version field per line — concurrent writers (parallel campaign
+workers, or two campaigns sharing one cache) never tear each other's
+records, and a torn line is skipped on load, not trusted and not
+fatal.  It never syncs (a lost line is only a miss), and a process
+keeps its last campaign's store (:func:`campaign_store`), so each
+campaign decodes only the lines appended since the one before.
 
 Degradation paths (the "never worse than cold" contract):
 
@@ -25,20 +28,12 @@ Degradation paths (the "never worse than cold" contract):
 from __future__ import annotations
 
 import os
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import perf
 from repro.incremental.fingerprint import FINGERPRINT_VERSION
-from repro.robustness import chaos
-from repro.robustness.checkpoint import (
-    MAX_WRITE_FAILURES,
-    torn_tail,
-    decode_record,
-    encode_record,
-)
-from repro.robustness.faults import maybe_inject
+from repro.robustness.checkpoint import RecordLog, encode_record
 
 #: On-disk format version: bumped when the record shape or the
 #: fingerprint recipe changes.  Mismatched stores are never read.
@@ -71,95 +66,76 @@ class CacheStats:
     warning: str | None = None
 
     @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
     def hit_rate(self) -> float:
-        if not self.lookups:
-            return 0.0
-        return self.hits / self.lookups
-
-    def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stale": self.stale,
-            "stored": self.stored,
-            "corrupt_lines": self.corrupt_lines,
-            "entries": self.entries,
-            "hit_rate": self.hit_rate,
-            "warning": self.warning,
-        }
+        lookups = self.hits + self.misses
+        return self.hits / lookups if lookups else 0.0
 
 
-@dataclass
-class ResultStore:
+class ResultStore(RecordLog):
     """Fingerprint-addressed store of serialized cell records."""
 
-    directory: str
-    stats: CacheStats = field(default_factory=CacheStats)
-    _records: dict = field(default_factory=dict)
-    _by_key: dict = field(default_factory=dict)
-    _loaded: bool = False
-    _write_failures: int = 0
-    _write_disabled: bool = False
-    _tail_checked: bool = False
+    write_errors_counter = "store.write_errors"
+    #: A cache: a line a machine crash loses is a miss, recomputed.
+    durable = False
 
-    @property
-    def path(self) -> Path:
-        return Path(self.directory) / f"results-v{CACHE_VERSION}.jsonl"
+    def __init__(self, directory: str) -> None:
+        super().__init__(Path(directory) / f"results-v{CACHE_VERSION}.jsonl",
+                         CACHE_VERSION)
+        self.directory = directory
+        self.stats = CacheStats()
+        self._records: dict = {}
+        self._by_key: dict = {}
+        self._corrupt = 0
+        self._loaded = False
 
     # ------------------------------------------------------------------
     # load / lookup
 
+    def _reset(self) -> None:
+        super()._reset()
+        self._records.clear()
+        self._by_key.clear()
+        self._corrupt = 0
+
+    def _hold(self, fingerprint: str, cell: dict) -> None:
+        self._records[fingerprint] = cell
+        key = cell.get("key")
+        if key:
+            self._by_key.setdefault(key, set()).add(fingerprint)
+
     def load(self) -> None:
-        """Replay the store file into memory (idempotent).
+        """Decode the lines appended since the last load (see
+        :meth:`RecordLog.scan`), counted in ``cache.lines_read``.
 
         A file that cannot be read at all is quarantined — renamed to
         ``<name>.corrupt`` — and the run degrades to cold with
         ``stats.warning`` set; individual bad lines are just skipped.
         """
-        if self._loaded:
-            return
         self._loaded = True
-        path = self.path
         try:
-            if not path.exists():
-                return
-            with path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = decode_record(line, version=CACHE_VERSION)
-                    if record is None:
-                        self.stats.corrupt_lines += 1
-                        perf.incr("cache.corrupt_lines")
-                        continue
-                    fingerprint = record.get("fingerprint")
-                    cell = record.get("cell")
-                    if not fingerprint or not isinstance(cell, dict):
-                        self.stats.corrupt_lines += 1
-                        continue
-                    self._records[fingerprint] = cell
-                    key = cell.get("key")
-                    if key:
-                        self._by_key.setdefault(key, set()).add(fingerprint)
+            for record, _reason in self.scan():
+                perf.incr("cache.lines_read")
+                cell = record and record.get("cell")
+                if not (record and record.get("fingerprint")
+                        and isinstance(cell, dict)):
+                    self._corrupt += 1
+                    perf.incr("cache.corrupt_lines")
+                    continue
+                self._hold(record["fingerprint"], cell)
         except OSError as error:
-            quarantined = path.with_suffix(path.suffix + ".corrupt")
+            quarantined = self.path.with_suffix(self.path.suffix + ".corrupt")
             try:
-                path.rename(quarantined)
+                self.path.rename(quarantined)
                 where = f"quarantined to {quarantined.name}"
             except OSError:
                 where = "left in place"
-            self._records.clear()
-            self._by_key.clear()
+            self._forget()
             self.stats.warning = (
                 f"result cache unreadable ({error}); {where}, "
                 "continuing with a cold run"
             )
         self.stats.entries = len(self._records)
+        self.stats.corrupt_lines = self._corrupt + self.torn_tail
 
     def get(self, fingerprint: str, key: str | None = None) -> dict | None:
         """The serialized cell record for *fingerprint*, or None.
@@ -168,7 +144,8 @@ class ResultStore:
         accounting: a miss whose key is known under another fingerprint
         is an invalidation ("stale"), not a first sighting.
         """
-        self.load()
+        if not self._loaded:
+            self.load()
         record = self._records.get(fingerprint)
         if record is not None:
             self.stats.hits += 1
@@ -183,64 +160,37 @@ class ResultStore:
 
     def records(self) -> dict:
         """fingerprint -> cell record, loading first (read-only view)."""
-        self.load()
+        if not self._loaded:
+            self.load()
         return dict(self._records)
 
     # ------------------------------------------------------------------
     # append
 
     def put(self, fingerprint: str, record: dict) -> None:
-        """Durably append one cell record under *fingerprint*.
+        """Append one cell record under *fingerprint*.
 
         Safe under concurrent writers (single O_APPEND write + CRC);
-        duplicate fingerprints resolve last-wins on load.  A torn tail
-        left by a killed writer is healed by prepending a newline, like
-        the journal.  Persistent write failure (disk full, I/O errors)
-        disables further writes for this run with one stderr warning —
-        lookups keep working, the campaign is never worse than cold.
+        duplicate fingerprints resolve last-wins on load.  Never
+        synced (see :meth:`sync`).  Persistent write failure (disk
+        full, I/O errors) disables further writes with one stderr
+        warning — lookups keep working, the campaign is never worse
+        than cold.
         """
-        if not fingerprint or self._write_disabled:
+        if not fingerprint or not self.write(
+                {"fingerprint": fingerprint, "cell": record}, "store"):
             return
-        path = self.path
-        try:
-            maybe_inject("store")
-            data = encode_record(
-                {"fingerprint": fingerprint, "cell": record},
-                version=CACHE_VERSION,
-            )
-            path.parent.mkdir(parents=True, exist_ok=True)
-            chaos.write_point("store", path, data)
-            fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                if not self._tail_checked:
-                    self._tail_checked = True
-                    if torn_tail(fd):
-                        data = b"\n" + data
-                os.write(fd, data)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-        except OSError as error:
-            self._write_failures += 1
-            perf.incr("store.write_errors")
-            if self._write_failures >= MAX_WRITE_FAILURES:
-                self._write_disabled = True
-                perf.incr("io.degraded")
-                self.stats.warning = (
-                    f"result store writes disabled after "
-                    f"{self._write_failures} consecutive failures "
-                    f"({error}); continuing in-memory"
-                )
-                print(f"warning: {self.stats.warning}", file=sys.stderr)
-            return
-        self._write_failures = 0
         self.stats.stored += 1
         perf.incr("cache.stored")
         if self._loaded:
-            self._records[fingerprint] = dict(record)
-            key = record.get("key")
-            if key:
-                self._by_key.setdefault(key, set()).add(fingerprint)
+            self._hold(fingerprint, dict(record))
+
+    def _degraded_warning(self, error: OSError) -> str:
+        self.stats.warning = (
+            f"result store writes disabled after {self._failures} "
+            f"consecutive failures ({error}); continuing in-memory"
+        )
+        return self.stats.warning
 
     # ------------------------------------------------------------------
     # inspection / GC (the `repro cache` subcommand)
@@ -300,8 +250,29 @@ class ResultStore:
         for path, _kind in self.files():
             path.unlink()
             count += 1
-        self._records.clear()
-        self._by_key.clear()
+        self._close_fd()
+        self._reset()
         self.stats = CacheStats()
         self._loaded = True
         return count
+
+
+#: The store of the last campaign this process ran (see campaign_store).
+_last_store: ResultStore | None = None
+
+
+def campaign_store(directory) -> ResultStore:
+    """The loaded store for one campaign over *directory*, with fresh
+    stats: the last campaign's store when it used the same directory,
+    so ``repro mutate`` decodes each store line once, not once per
+    campaign.  Disabled writes stay disabled, with their warning."""
+    global _last_store
+    store = _last_store
+    if store is None or store.directory != str(directory):
+        if store is not None:
+            store.close()
+        store = _last_store = ResultStore(str(directory))
+    store.stats = CacheStats(warning=store.stats.warning
+                             if store.degraded else None)
+    store.load()
+    return store

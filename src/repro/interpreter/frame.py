@@ -99,11 +99,6 @@ class Frame:
     def argument_count(self) -> int:
         return self.method.num_args
 
-    def argument_at(self, index: int) -> object:
-        if not 0 <= index < self.method.num_args:
-            raise InvalidFrameAccess("arguments", index)
-        return self.temp_at(index)
-
     def snapshot(self) -> dict:
         """Shallow structural copy for before/after comparisons."""
         return {

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import InvalidMemoryAccess
 from repro.interpreter.exits import ExitResult
 from repro.memory.layout import ObjectFormat
 
@@ -85,14 +84,6 @@ def testable_primitives() -> list[NativeMethod]:
 
 def _fail(reason: str) -> ExitResult:
     return ExitResult.failure(reason)
-
-
-def _receiver(frame, argc):
-    return frame.stack_value(argc)
-
-
-def _external_address_class_index(interp) -> int:
-    return interp.memory.class_table.named("ExternalAddress").index
 
 
 def _behavior_class_index(interp) -> int:

@@ -21,7 +21,7 @@ inlining flags; all byte-code family generators live here.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bytecode.methods import CompiledMethod
 from repro.bytecode.opcodes import Bytecode
@@ -58,12 +58,6 @@ class CompilationUnit:
     #: For sequence tests: ((bytecode, operands), ...) replacing the
     #: single instruction; jump targets resolve within the sequence.
     sequence: tuple = ()
-
-    @property
-    def instruction_name(self) -> str:
-        if self.bytecode is not None:
-            return self.bytecode.name
-        return self.native.name
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,5 @@ FP = "FP"
 SP = "SP"
 
 
-def is_general(name: str) -> bool:
-    return name in GENERAL_REGISTERS
-
-
 def is_float(name: str) -> bool:
     return name in FLOAT_REGISTERS

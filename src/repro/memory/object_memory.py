@@ -128,9 +128,6 @@ class ObjectMemory:
             and self.class_index_of(oop) == self.float_class_index
         )
 
-    def is_pointer_format(self, oop: int) -> bool:
-        return self.format_of(oop).is_pointers
-
     # ------------------------------------------------------------------
     # slots
 
@@ -184,9 +181,6 @@ class ObjectMemory:
             for index in range(n_slots):
                 self.store_pointer(index, address, nil)
         return address
-
-    def instantiate_class_index(self, class_index: int, indexable_size: int = 0) -> int:
-        return self.instantiate(self.class_table.at(class_index), indexable_size)
 
     # ------------------------------------------------------------------
     # boxed floats

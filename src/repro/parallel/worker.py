@@ -26,7 +26,9 @@ A worker inherits the parent's plan rows through ``fork``.
 Workers append their records to the shared journal themselves —
 journal appends are concurrency-safe
 (:mod:`repro.robustness.checkpoint`), and worker-side appends mean a
-parent crash loses nothing a worker finished.  With a result cache
+parent crash loses nothing a worker finished.  The shard function
+syncs the journal once when a shard ends, and a worker closes (syncs)
+it once when it stops.  With a result cache
 attached (``cache_dir``), clean first-attempt cells are also appended
 to the persistent store under their semantic fingerprint
 (:mod:`repro.incremental.store` — same O_APPEND+CRC discipline, safe
@@ -142,6 +144,9 @@ def _run_worker_activated(conn, rows, config, remaining_seconds,
         else:
             conn.send(("done", None))
     finally:
+        for log in (journal, store):
+            if log is not None:
+                log.close()
         conn.close()
 
 
@@ -186,6 +191,8 @@ def serve_shard(send, rows, config, deadline, journal, store, shard,
             if fingerprint:
                 store.put(fingerprint, record)
         send(("cell", cell.key, record))
+    if journal is not None:
+        journal.sync()
     perf.incr("explore.cache_hits", cache.hits)
     perf.incr("explore.cache_misses", cache.misses)
     stored = store.stats.stored - before if store is not None else 0

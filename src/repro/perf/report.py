@@ -63,22 +63,6 @@ def format_profile(snapshot: dict) -> str:
     return "\n".join(lines)
 
 
-def result_cache_hit_rate(snapshot: dict) -> float | None:
-    """Persistent result-store hit rate in [0, 1], or None if detached.
-
-    ``cache.hits`` / ``cache.misses`` count parent-side fingerprint
-    lookups against the cross-run store (docs/INCREMENTAL.md).  Used
-    by the CI incremental-smoke gate: a warm re-run of an identical
-    campaign must hit on nearly every cell.
-    """
-    counters = snapshot.get("counters", {})
-    hits = counters.get("cache.hits", 0)
-    misses = counters.get("cache.misses", 0)
-    if hits + misses == 0:
-        return None
-    return hits / (hits + misses)
-
-
 def solver_memo_hit_rate(snapshot: dict) -> float | None:
     """Solver memo hit rate in [0, 1], or None if the tier never ran.
 

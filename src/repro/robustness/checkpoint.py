@@ -1,4 +1,4 @@
-"""Checkpoint/resume: the append-only JSONL campaign journal.
+"""Checkpoint/resume: the append-only record log and the campaign journal.
 
 The runner appends one JSON record per *completed* cell — counters plus
 per-comparison verdicts, enough to rebuild the aggregate report rows
@@ -7,8 +7,9 @@ are skipped, so an interrupted campaign (crash, ^C, expired deadline)
 picks up where it left off and still produces identical aggregate
 counts.
 
-The journal is safe under **concurrent writers** (the parallel engine's
-workers append directly):
+The journal and the persistent result store (:mod:`repro.incremental.store`)
+are two key schemes over one :class:`RecordLog`, safe under
+**concurrent writers** (the parallel engine's workers append directly):
 
 * each record is emitted as one ``os.write`` on an ``O_APPEND``
   descriptor, so lines from different processes never interleave;
@@ -18,17 +19,24 @@ workers append directly):
 * duplicate keys resolve last-wins, so a cell re-run after a partial
   failure supersedes its earlier record.
 
+A writer opens its file once and never syncs per record: written pages
+survive a SIGKILL anyway, so a killed campaign loses only the cells in
+flight.  The journal syncs once per shard and once when its writer
+stops; the store, a cache, never syncs.  A power loss can thus also
+lose each journal writer's shard in flight and an unsynced store tail.
+
 Replay health is not silent: :meth:`CampaignJournal.load` counts torn
 and foreign lines in :class:`JournalReplay` (surfaced in the campaign
-report's resilience section and ``repro cache --journal``), and a
-journal whose *writes* keep failing (disk full, I/O errors) disables
-itself after :data:`MAX_WRITE_FAILURES` consecutive errors with one
-stderr warning — the campaign finishes correctly in-memory, never
-worse than running journal-less.
+report's resilience section and ``repro cache --journal``), and a log
+whose *writes* keep failing (disk full, I/O errors) disables itself
+after :data:`MAX_WRITE_FAILURES` consecutive errors with one stderr
+warning — the campaign finishes correctly in-memory, never worse than
+running journal-less.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -44,7 +52,7 @@ from repro.robustness.faults import maybe_inject
 #: rather than mis-replayed.
 JOURNAL_VERSION = 1
 
-#: Consecutive write failures after which a sink (journal or result
+#: Consecutive write failures after which a log (journal or result
 #: store) disables itself for the rest of the run.  Transient errors
 #: below the threshold lose at most their own record; the counter
 #: resets on every successful write.
@@ -82,11 +90,10 @@ def _checksum(payload: str) -> int:
 
 
 def encode_record(record: dict, version: int = JOURNAL_VERSION) -> bytes:
-    """One journal line: versioned, checksummed, newline-terminated.
+    """One log line: versioned, checksummed, newline-terminated.
 
     The same discipline serves the campaign journal and the persistent
-    result store (:mod:`repro.incremental.store`), each under its own
-    *version* namespace.
+    result store, each under its own *version* namespace.
     """
     record = dict(record, version=version)
     payload = json.dumps(record, sort_keys=True)
@@ -94,8 +101,8 @@ def encode_record(record: dict, version: int = JOURNAL_VERSION) -> bytes:
     return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _decode_line(line: str, version: int) -> tuple[dict | None, str]:
-    """(record, reason) for one journal line.
+def _decode_line(line, version: int) -> tuple[dict | None, str]:
+    """(record, reason) for one log line (``str`` or ``bytes``).
 
     Reasons: ``"ok"`` — replayable; ``"torn"`` — undecodable (a torn
     write or bit rot: unparseable JSON or a checksum mismatch);
@@ -103,7 +110,7 @@ def _decode_line(line: str, version: int) -> tuple[dict | None, str]:
     """
     try:
         record = json.loads(line)
-    except json.JSONDecodeError:
+    except ValueError:  # bad JSON, or bytes that are not UTF-8
         return None, "torn"
     if not isinstance(record, dict):
         return None, "torn"
@@ -116,9 +123,139 @@ def _decode_line(line: str, version: int) -> tuple[dict | None, str]:
 
 
 def decode_record(line: str, version: int = JOURNAL_VERSION) -> dict | None:
-    """Parse and verify one journal line; None if torn/corrupt/foreign."""
+    """Parse and verify one log line; None if torn/corrupt/foreign."""
     record, _reason = _decode_line(line, version)
     return record
+
+
+class RecordLog:
+    """One append-only file of versioned, CRC-checked JSON records,
+    written through one descriptor and read incrementally: :meth:`scan`
+    yields only the lines appended since the previous scan."""
+
+    #: Perf counter of failed writes (one literal per key scheme).
+    write_errors_counter = "journal.write_errors"
+    #: Whether :meth:`sync` fsyncs this log's appends.
+    durable = True
+
+    def __init__(self, path, version: int) -> None:
+        self.path = Path(path)
+        self.version = version
+        self.degraded = False
+        #: The last scan ended at an unterminated fragment (a torn write,
+        #: or NUL bytes); left unread until an append terminates it.
+        self.torn_tail = False
+        self._failures = 0
+        self._fd: int | None = None
+        self._unsynced = False
+        # Where the reader is: file identity, offset, bytes before it.
+        self._identity = None
+        self._offset = 0
+        self._mark = b""
+
+    def write(self, record: dict, site: str) -> bool:
+        """Append one record; False if it failed or the log is disabled.
+
+        On opening, an unterminated last line (a SIGKILL mid-write) gets
+        a newline first, so the record is never glued onto it.
+        """
+        if self.degraded:
+            return False
+        try:
+            maybe_inject(site)
+            data = encode_record(record, self.version)
+            chaos.write_point(site, self.path, data)
+            if self._fd is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fd = os.open(self.path,
+                                   os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+                size = os.fstat(self._fd).st_size
+                if size and os.pread(self._fd, 1, size - 1) != b"\n":
+                    data = b"\n" + data
+            os.write(self._fd, data)
+        except OSError as error:
+            self._failed(error)
+            return False
+        self._failures = 0
+        self._unsynced = self.durable
+        return True
+
+    def _failed(self, error: OSError) -> None:
+        self._close_fd()
+        self._failures += 1
+        perf.incr(self.write_errors_counter)
+        if self._failures >= MAX_WRITE_FAILURES:
+            self.degraded = True
+            perf.incr("io.degraded")
+            print(f"warning: {self._degraded_warning(error)}",
+                  file=sys.stderr)
+
+    def _degraded_warning(self, error: OSError) -> str:
+        return (
+            f"campaign journal {self.path} disabled after "
+            f"{self._failures} consecutive write failures ({error}); "
+            "continuing without checkpointing"
+        )
+
+    def sync(self) -> None:
+        """fsync this writer's pending appends, if any (a group commit)."""
+        if self._unsynced:
+            self._unsynced = False
+            try:
+                os.fsync(self._fd)
+            except OSError as error:
+                self._failed(error)
+
+    def close(self) -> None:
+        """Sync, then close the descriptor (a later write reopens)."""
+        self.sync()
+        self._close_fd()
+
+    def _close_fd(self) -> None:
+        fd, self._fd, self._unsynced = self._fd, None, False
+        if fd is not None:
+            with contextlib.suppress(OSError):
+                os.close(fd)
+
+    def _reset(self) -> None:
+        """Read from the start next time (a key scheme drops its data)."""
+        self._offset = 0
+        self._mark = b""
+
+    def _forget(self, identity=None) -> None:
+        """The file changed: drop the read position and the descriptor."""
+        self.close()
+        self._identity = identity
+        self._reset()
+
+    def scan(self):
+        """Stream ``(record, reason)`` (:func:`_decode_line`) for each
+        complete line appended since the last scan, or for every line
+        if the file was replaced, removed or truncated since."""
+        self.torn_tail = False
+        try:
+            handle = self.path.open("rb")
+        except FileNotFoundError:
+            if self._identity is not None:
+                self._forget()
+            return
+        with handle:
+            fd = handle.fileno()
+            stat = os.fstat(fd)
+            identity = (stat.st_dev, stat.st_ino)
+            if (identity != self._identity or stat.st_size < self._offset
+                    or os.pread(fd, len(self._mark),
+                                self._offset - len(self._mark)) != self._mark):
+                self._forget(identity)
+            handle.seek(self._offset)
+            for line in handle:
+                if not line.endswith(b"\n"):
+                    self.torn_tail = bool(line.strip())
+                    break
+                self._offset += len(line)
+                self._mark = line[-32:]
+                if line.strip():
+                    yield _decode_line(line, self.version)
 
 
 @dataclass
@@ -134,110 +271,44 @@ class JournalReplay:
     skipped_lines: int = 0
 
 
-class CampaignJournal:
+class CampaignJournal(RecordLog):
     """One JSONL file journaling completed campaign cells."""
 
     def __init__(self, path) -> None:
-        self.path = Path(path)
+        super().__init__(path, JOURNAL_VERSION)
         self.replay = JournalReplay()
-        self.degraded = False
-        self._write_failures = 0
-        self._tail_checked = False
-
-    # ------------------------------------------------------------------
 
     def load(self) -> dict:
         """key -> record for every well-formed journaled cell.
 
-        Malformed lines (torn writes, checksum mismatches) are skipped
-        individually: with concurrent writers a bad line is not
-        necessarily the last one.  Duplicate keys resolve last-wins.
-        What was skipped is counted in :attr:`replay` and the
-        ``journal.torn_lines`` / ``journal.skipped_lines`` perf
-        counters — replay health is reported, not silent.
+        Always reads the whole file.  Malformed lines (torn writes,
+        checksum mismatches) are skipped individually: with concurrent
+        writers a bad line is not necessarily the last one.  Duplicate
+        keys resolve last-wins.  What was skipped is counted in
+        :attr:`replay` and the ``journal.torn_lines`` /
+        ``journal.skipped_lines`` perf counters — replay health is
+        reported, not silent.
         """
-        self.replay = JournalReplay()
-        if not self.path.exists():
-            return {}
+        self.replay = replay = JournalReplay()
+        self._reset()
         completed: dict = {}
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record, reason = _decode_line(line, JOURNAL_VERSION)
-                if record is None:
-                    if reason == "torn":
-                        self.replay.torn_lines += 1
-                        perf.incr("journal.torn_lines")
-                    else:
-                        self.replay.skipped_lines += 1
-                        perf.incr("journal.skipped_lines")
-                    continue
-                key = record.get("key")
-                if not key:
-                    self.replay.skipped_lines += 1
-                    perf.incr("journal.skipped_lines")
-                    continue
-                completed[key] = record
-                self.replay.records += 1
+        for record, reason in self.scan():
+            if reason == "torn":
+                replay.torn_lines += 1
+                perf.incr("journal.torn_lines")
+            elif record is None or not record.get("key"):
+                replay.skipped_lines += 1
+                perf.incr("journal.skipped_lines")
+            else:
+                completed[record["key"]] = record
+                replay.records += 1
+        if self.torn_tail:
+            replay.torn_lines += 1
+            perf.incr("journal.torn_lines")
         return completed
 
     def append(self, record: dict) -> None:
-        """Durably append one completed-cell record.
-
-        The entire line goes out in a single ``write(2)`` on an
-        ``O_APPEND`` descriptor, so concurrent appenders (parallel
-        workers) never tear each other's records.  If the file's last
-        line is unterminated — the tail a SIGKILL mid-write leaves
-        behind — the first append of this process prepends a newline so
-        the new record is never glued onto the torn fragment.
-
-        Write failures degrade instead of crashing the campaign: the
-        failed record is lost (it will simply re-run on resume), and
-        after :data:`MAX_WRITE_FAILURES` consecutive failures the
-        journal disables itself with one stderr warning.
-        """
-        if self.degraded:
-            return
+        """Append one cell (or triage cause) record, unsynced."""
         key = str(record.get("key", ""))
-        site = "triage" if key.startswith(TRIAGE_KEY_PREFIX) else "journal"
-        try:
-            maybe_inject(site)
-            data = encode_record(record)
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            chaos.write_point(site, self.path, data)
-            fd = os.open(
-                self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
-            )
-            try:
-                if not self._tail_checked:
-                    self._tail_checked = True
-                    if torn_tail(fd):
-                        data = b"\n" + data
-                os.write(fd, data)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-        except OSError as error:
-            self._write_failures += 1
-            perf.incr("journal.write_errors")
-            if self._write_failures >= MAX_WRITE_FAILURES:
-                self.degraded = True
-                perf.incr("io.degraded")
-                print(
-                    f"warning: campaign journal {self.path} disabled after "
-                    f"{self._write_failures} consecutive write failures "
-                    f"({error}); continuing without checkpointing",
-                    file=sys.stderr,
-                )
-            return
-        self._write_failures = 0
-
-
-def torn_tail(fd: int) -> bool:
-    """True if the file ends mid-line (no trailing newline)."""
-    size = os.fstat(fd).st_size
-    if size == 0:
-        return False
-    return os.pread(fd, 1, size - 1) != b"\n"
+        self.write(record,
+                   "triage" if key.startswith(TRIAGE_KEY_PREFIX) else "journal")

@@ -276,18 +276,21 @@ def run_triage(result, config, triage: TriageConfig, *,
     """
     from repro.mutation import activated
 
-    with activated(config.mutants):
-        return _run_triage_activated(result, config, triage,
-                                     journal_path=journal_path,
-                                     resume=resume)
+    journal = CampaignJournal(journal_path) if journal_path else None
+    try:
+        with activated(config.mutants):
+            return _run_triage_activated(result, config, triage,
+                                         journal=journal, resume=resume)
+    finally:
+        if journal is not None:
+            journal.close()
 
 
 def _run_triage_activated(result, config, triage: TriageConfig, *,
-                          journal_path=None,
+                          journal=None,
                           resume: bool = False) -> TriageReport:
     divergences = collect_divergences(result)
     crashes = collect_crashes(result.quarantine)
-    journal = CampaignJournal(journal_path) if journal_path else None
     finished = (
         triage_records(journal.load())
         if (journal is not None and resume) else {}

@@ -41,10 +41,6 @@ class ShrinkOutcome:
     trials: int
 
     @property
-    def shrunken_count(self) -> int:
-        return len(self.constraints)
-
-    @property
     def shape(self) -> str:
         """Human-readable shrunken constraint shape for the report."""
         rendered = " AND ".join(str(c) for c in self.constraints)

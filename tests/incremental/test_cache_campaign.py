@@ -92,6 +92,25 @@ class TestWarmEqualsCold:
             assert cell_summaries(warm) == cell_summaries(cold)
 
 
+class TestReadOnce:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_later_campaigns_decode_only_new_lines(self, cache_dir, jobs):
+        """The process keeps its store between campaigns: each decodes
+        only the lines the campaigns before it appended."""
+        config = replace(CONFIG, profile=True)
+
+        def lines_read(result) -> int:
+            return result.perf["counters"].get("cache.lines_read", 0)
+
+        cold = run_campaign(config, jobs=jobs, cache_dir=cache_dir)
+        assert (lines_read(cold), cold.cache.stored) == (0, CELLS)
+        warm = run_campaign(config, jobs=jobs, cache_dir=cache_dir)
+        assert (lines_read(warm), warm.cache.hits) == (CELLS, CELLS)
+        again = run_campaign(config, jobs=jobs, cache_dir=cache_dir)
+        assert (lines_read(again), again.cache.hits) == (0, CELLS)
+        assert format_table2(again) == format_table2(cold)
+
+
 class TestInvalidationInFlight:
     def test_budget_change_is_stale_not_hit(self, cache_dir):
         run_campaign(CONFIG, cache_dir=cache_dir)

@@ -8,10 +8,14 @@ unreadable file, stale-entry accounting and the `repro cache` GC.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from repro import perf
+from repro.cli import main as cli_main
 from repro.incremental import CACHE_VERSION, CacheStats, ResultStore
-from repro.incremental.store import default_cache_dir
+from repro.incremental.store import campaign_store, default_cache_dir
 
 
 def record(key: str, value: int = 0) -> dict:
@@ -195,3 +199,118 @@ class TestDefaultDirectory:
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
         assert default_cache_dir().endswith(".cache/repro")
+
+
+def lines_read(directory) -> tuple:
+    """(the campaign store for *directory*, lines its load decoded)."""
+    perf.enable()
+    try:
+        store = campaign_store(directory)
+        return store, perf.snapshot()["counters"].get("cache.lines_read", 0)
+    finally:
+        perf.disable()
+
+
+class TestReadOnce:
+    """A process keeps its last campaign's store: the next campaign
+    decodes only the lines appended since, unless the file changed
+    under it."""
+
+    @pytest.fixture
+    def first(self, tmp_path):
+        directory = str(tmp_path / "cache")
+        writer = ResultStore(directory)  # another process's appends
+        for index in range(6):
+            writer.put(f"fp{index}", record(f"cell-{index}", index))
+        store, read = lines_read(directory)
+        assert read == 6 and store.stats.entries == 6
+        return directory, writer
+
+    def test_second_campaign_reads_only_new_lines(self, first):
+        directory, writer = first
+        writer.put("fp6", record("cell-6"))
+        writer.put("fp7", record("cell-7"))
+        store, read = lines_read(directory)
+        assert read == 2
+        assert store.stats.entries == 8
+        assert store.get("fp0") == record("cell-0", 0)
+        assert store.get("fp7") == record("cell-7")
+        assert lines_read(directory)[1] == 0
+
+    def test_each_campaign_gets_fresh_stats(self, first):
+        directory, _writer = first
+        store, _read = lines_read(directory)
+        store.get("fp0")
+        store.put("fp9", record("cell-9"))
+        again, _read = lines_read(directory)
+        assert again is store
+        assert (again.stats.hits, again.stats.stored) == (0, 0)
+
+    def test_compacted_store_is_read_from_the_start(self, first):
+        directory, writer = first
+        writer.put("fp0", record("cell-0", 99))  # superseded line
+        assert cli_main(["cache", "--cache-dir", directory, "--gc"]) == 0
+        store, read = lines_read(directory)
+        assert read == 6
+        assert store.get("fp0") == record("cell-0", 99)
+
+    def test_truncated_store_is_read_from_the_start(self, first):
+        directory, writer = first
+        lines = writer.path.read_bytes().splitlines(keepends=True)
+        os.truncate(writer.path, sum(len(line) for line in lines[:2]))
+        store, read = lines_read(directory)
+        assert read == 2
+        assert set(store.records()) == {"fp0", "fp1"}
+        assert store.get("fp5") is None
+
+    def test_truncated_and_regrown_store_is_read_from_the_start(self, first):
+        directory, writer = first
+        lines = writer.path.read_bytes().splitlines(keepends=True)
+        os.truncate(writer.path, len(lines[0]))
+        for index in range(8):
+            writer.put(f"new{index}", record(f"cell-new{index}"))
+        store, read = lines_read(directory)
+        assert read == 9
+        assert store.get("fp5") is None
+        assert store.get("new7") == record("cell-new7")
+
+    def test_replaced_store_is_read_from_the_start(self, first, tmp_path):
+        directory, writer = first
+        donor = ResultStore(str(tmp_path / "donor"))
+        donor.put("other", record("cell-other"))
+        os.replace(donor.path, writer.path)
+        store, read = lines_read(directory)
+        assert read == 1
+        assert set(store.records()) == {"other"}
+        # Writes go to the new file, not the one it replaced.
+        store.put("mine", record("cell-mine"))
+        assert set(ResultStore(directory).records()) == {"other", "mine"}
+
+    def test_removed_store_reads_cold(self, first):
+        directory, writer = first
+        writer.path.unlink()
+        store, read = lines_read(directory)
+        assert read == 0
+        assert store.stats.entries == 0
+
+    def test_unreadable_store_is_still_quarantined(self, first):
+        directory, writer = first
+        writer.path.unlink()
+        writer.path.mkdir()
+        store, _read = lines_read(directory)
+        assert store.stats.warning is not None
+        assert "cold" in store.stats.warning
+        assert store.stats.entries == 0
+        assert len(list(writer.path.parent.glob("*.corrupt"))) == 1
+
+    def test_repro_cache_counts_every_corrupt_line(self, first, capsys):
+        directory, writer = first
+        store, _read = lines_read(directory)
+        with writer.path.open("ab") as handle:
+            handle.write(b"torn one\n{\"torn\": 2}\npartial")
+        assert lines_read(directory)[0].stats.corrupt_lines == 3
+        capsys.readouterr()
+        assert cli_main(["cache", "--cache-dir", directory]) == 0
+        out = capsys.readouterr().out
+        assert "entries:         6" in out
+        assert "corrupt lines:   3 (skipped)" in out

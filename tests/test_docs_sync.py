@@ -441,6 +441,18 @@ def test_incremental_counter_exists_in_source(name):
     )
 
 
+def test_every_recorded_cache_counter_is_documented():
+    """The reverse direction: each ``cache.*`` counter the source
+    records appears in the guide."""
+    recorded = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        recorded.update(re.findall(r'perf\.incr\("(cache\.[a-z_]+)"',
+                                   path.read_text(encoding="utf-8")))
+    assert "cache.lines_read" in recorded
+    missing = sorted(recorded - set(incremental_counters()))
+    assert not missing, f"docs/INCREMENTAL.md lacks {missing}"
+
+
 @pytest.mark.parametrize("path", incremental_module_paths())
 def test_incremental_module_path_exists(path):
     assert (ROOT / path).exists(), (
