@@ -55,6 +55,21 @@ class MemoCache:
             self._entries.popitem(last=False)
             self.evictions += 1
 
+    def keys(self) -> frozenset:
+        """The keys held now: a mark for :meth:`entries_since`."""
+        return frozenset(self._entries)
+
+    def entries_since(self, mark: frozenset) -> list:
+        """``(key, entry)`` for every held key not in *mark*, least
+        recently used first."""
+        return [(key, entry) for key, entry in self._entries.items()
+                if key not in mark]
+
+    def update(self, entries) -> None:
+        """Put every ``(key, entry)`` of *entries*, in order."""
+        for key, entry in entries:
+            self.put(key, entry)
+
     def clear(self) -> None:
         self._entries.clear()
         self.hits = 0

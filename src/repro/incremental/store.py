@@ -3,6 +3,10 @@
 An append-only JSONL file mapping semantic fingerprints to serialized
 cell records — the same dicts the campaign journal holds, so a cache
 hit is rebuilt by the exact machinery that rebuilds a resumed cell.
+A loaded store holds each record ``marshal``-encoded, a fraction of
+the decoded dict's size, and decodes it only on a hit: ``repro
+mutate`` forks every campaign's workers from the process that holds
+the store, and most records are never read.
 
 The store is a key scheme over the journal's record log
 (:class:`repro.robustness.checkpoint.RecordLog`): one ``os.write`` on
@@ -27,6 +31,7 @@ Degradation paths (the "never worse than cold" contract):
 
 from __future__ import annotations
 
+import marshal
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,6 +88,7 @@ class ResultStore(RecordLog):
                          CACHE_VERSION)
         self.directory = directory
         self.stats = CacheStats()
+        #: fingerprint -> the cell record, ``marshal``-encoded.
         self._records: dict = {}
         self._by_key: dict = {}
         self._corrupt = 0
@@ -96,12 +102,6 @@ class ResultStore(RecordLog):
         self._records.clear()
         self._by_key.clear()
         self._corrupt = 0
-
-    def _hold(self, fingerprint: str, cell: dict) -> None:
-        self._records[fingerprint] = cell
-        key = cell.get("key")
-        if key:
-            self._by_key.setdefault(key, set()).add(fingerprint)
 
     def load(self) -> None:
         """Decode the lines appended since the last load (see
@@ -121,7 +121,11 @@ class ResultStore(RecordLog):
                     self._corrupt += 1
                     perf.incr("cache.corrupt_lines")
                     continue
-                self._hold(record["fingerprint"], cell)
+                fingerprint = record["fingerprint"]
+                self._records[fingerprint] = marshal.dumps(cell)
+                key = cell.get("key")
+                if key:
+                    self._by_key.setdefault(key, set()).add(fingerprint)
         except OSError as error:
             quarantined = self.path.with_suffix(self.path.suffix + ".corrupt")
             try:
@@ -138,7 +142,8 @@ class ResultStore(RecordLog):
         self.stats.corrupt_lines = self._corrupt + self.torn_tail
 
     def get(self, fingerprint: str, key: str | None = None) -> dict | None:
-        """The serialized cell record for *fingerprint*, or None.
+        """The serialized cell record for *fingerprint*, decoded into a
+        fresh dict, or None.
 
         *key* (the cell's journal identity) only refines the miss
         accounting: a miss whose key is known under another fingerprint
@@ -146,11 +151,11 @@ class ResultStore(RecordLog):
         """
         if not self._loaded:
             self.load()
-        record = self._records.get(fingerprint)
-        if record is not None:
+        held = self._records.get(fingerprint)
+        if held is not None:
             self.stats.hits += 1
             perf.incr("cache.hits")
-            return dict(record)
+            return marshal.loads(held)
         self.stats.misses += 1
         perf.incr("cache.misses")
         if key is not None and self._by_key.get(key):
@@ -159,10 +164,11 @@ class ResultStore(RecordLog):
         return None
 
     def records(self) -> dict:
-        """fingerprint -> cell record, loading first (read-only view)."""
+        """fingerprint -> cell record, loading first (fresh copies)."""
         if not self._loaded:
             self.load()
-        return dict(self._records)
+        return {fingerprint: marshal.loads(held)
+                for fingerprint, held in self._records.items()}
 
     # ------------------------------------------------------------------
     # append
@@ -176,14 +182,17 @@ class ResultStore(RecordLog):
         full, I/O errors) disables further writes with one stderr
         warning — lookups keep working, the campaign is never worse
         than cold.
+
+        The next lookup loads again, which reads the appended line
+        back: the store holds no copy of a record while the campaign
+        that put it still holds its own.
         """
         if not fingerprint or not self.write(
                 {"fingerprint": fingerprint, "cell": record}, "store"):
             return
         self.stats.stored += 1
         perf.incr("cache.stored")
-        if self._loaded:
-            self._hold(fingerprint, dict(record))
+        self._loaded = False
 
     def _degraded_warning(self, error: OSError) -> str:
         self.stats.warning = (
@@ -229,7 +238,7 @@ class ResultStore(RecordLog):
                     {"fingerprint": fingerprint, "cell": cell},
                     version=CACHE_VERSION,
                 )
-                for fingerprint, cell in sorted(self._records.items())
+                for fingerprint, cell in sorted(self.records().items())
             )
             tmp = path.with_suffix(".tmp")
             tmp.write_bytes(compact)

@@ -59,6 +59,12 @@ Failure semantics, composing with the PR-2 robustness layer:
   shards carry their cells' fingerprints to the worker, which appends
   clean results to the store itself (:mod:`repro.incremental.store`)
   and reports how many it stored with each ``shard_done``.
+* **Solver memo**: a worker inherits the parent's component memo
+  through ``fork``, and its final ``done`` message hands back the
+  entries it added; the parent keeps them, so the next campaign's
+  workers start with everything this one solved, as the later
+  campaigns of a ``-j 1`` run do.  An entry is a pure function of its
+  key, so only time moves.
 * **Triage**: the pool never triages.  ``--triage`` confirmation,
   shrinking and reproducer emission all run in the parent after the
   merge, over the same serialized cell records the workers shipped
@@ -79,6 +85,7 @@ from dataclasses import dataclass, field
 from multiprocessing import connection
 
 from repro import perf
+from repro.concolic.solver.incremental import default_cache
 from repro.robustness import errors as error_taxonomy
 from repro.robustness.errors import (
     BudgetExhausted,
@@ -215,9 +222,10 @@ def _handle_message(entry: _Worker, message, records: dict, pending: deque,
     elif tag == "fail":
         entry.failure = (message[1], message[2])
     elif tag == "done":
+        _tag, snapshot, learned = message
         entry.done = True
-        if len(message) > 1 and message[1] is not None:
-            entry.perf = message[1]
+        entry.perf = snapshot
+        default_cache().update(learned)
 
 
 def _drain(entry: _Worker, records: dict, pending: deque,

@@ -57,8 +57,13 @@ Worker -> parent, around the shards:
   the shard's remaining cells were not run;
 * ``("fail", error_class, message)`` — ``fail_fast`` is set and a cell
   crashed; the parent re-raises;
-* ``("done", perf_snapshot | None)`` — the worker is exiting cleanly;
-  the perf snapshot dict is present only under ``profile``.
+* ``("done", perf_snapshot | None, learned)`` — the worker is exiting
+  cleanly; the perf snapshot dict is present only under ``profile``.
+  *learned* lists the ``(key, MemoEntry)`` pairs the worker added to
+  the solver's component memo since its fork; the parent puts them in
+  its own memo, so the next campaign's workers inherit them through
+  ``fork`` as a ``-j 1`` run's later campaigns do.  An entry is a pure
+  function of its key, so this changes time, never an answer.
 
 Parent -> worker:
 
@@ -72,6 +77,10 @@ from __future__ import annotations
 
 from repro import perf
 from repro.concolic.explorer import ExplorationCache
+from repro.concolic.solver.incremental import (
+    default_cache,
+    record_solver_gauges,
+)
 from repro.difftest.runner import (
     _crashed_result,
     _backend_scope,
@@ -106,6 +115,8 @@ def _run_worker_activated(conn, rows, config, remaining_seconds,
                           journal_path, cache_dir) -> None:
     apply_worker_rlimits(config)
     deadline = Deadline(remaining_seconds)
+    memo = default_cache()
+    inherited = memo.keys()
     journal = CampaignJournal(journal_path) if journal_path else None
     store = None
     if cache_dir:
@@ -136,13 +147,11 @@ def _run_worker_activated(conn, rows, config, remaining_seconds,
                 conn.send(("fail", exc.error_class, str(exc)))
                 return
             conn.send(("next",))
+        snapshot = None
         if perf.enabled():
-            from repro.concolic.solver.incremental import record_solver_gauges
-
             record_solver_gauges()
-            conn.send(("done", perf.snapshot()))
-        else:
-            conn.send(("done", None))
+            snapshot = perf.snapshot()
+        conn.send(("done", snapshot, memo.entries_since(inherited)))
     finally:
         for log in (journal, store):
             if log is not None:

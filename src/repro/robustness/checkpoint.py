@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import perf
-from repro.robustness import chaos
 from repro.robustness.faults import maybe_inject
 
 #: Bumped when the record shape changes; mismatched journals are ignored
@@ -161,6 +160,11 @@ class RecordLog:
         """
         if self.degraded:
             return False
+        # Imported here, not at the top: the package imports this
+        # module, and ``python -m repro.robustness.chaos`` must find
+        # chaos unimported when it runs the module as ``__main__``.
+        from repro.robustness import chaos
+
         try:
             maybe_inject(site)
             data = encode_record(record, self.version)

@@ -93,6 +93,21 @@ class TestNormalizeReport:
         assert normalize_report(report) == normalize_report(report)
 
 
+class TestEntryPoint:
+    def test_module_runs_once(self):
+        """Importing the package must not import chaos: runpy would
+        then run the module a second time, and warn about it."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.robustness.chaos", "--help"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "usage:" in proc.stdout
+
+
 class TestTornRunSweep:
     def test_seeded_kill_points_resume_byte_identical(self, tmp_path):
         """The crash-consistency contract, adversarially: kill a real

@@ -16,17 +16,19 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bytecode.opcodes import testable_bytecodes
+from repro.bytecode import opcodes
 from repro.concolic.explorer import (
     BytecodeInstructionSpec,
     ConcolicExplorer,
     NativeMethodSpec,
 )
 from repro.difftest.curation import curate_paths
-from repro.interpreter.primitives import testable_primitives
+from repro.interpreter import primitives
 
-BYTECODES = testable_bytecodes()
-NATIVES = testable_primitives()
+# Module imports: a ``test*`` name imported into this module would be
+# collected and run as a test.
+BYTECODES = opcodes.testable_bytecodes()
+NATIVES = primitives.testable_primitives()
 
 
 def assert_equivalent(spec, **kwargs):

@@ -183,6 +183,24 @@ class TestMemoCache:
         assert stats["hits"] == 1
         assert stats["misses"] == 1
 
+    def test_entries_since_a_mark_move_to_another_memo(self):
+        """What a pool worker hands back: the entries it added after
+        its fork, which the parent puts in its own memo."""
+        memo = MemoCache()
+        entry = MemoEntry(status="sat", model={}, nodes=1,
+                          truncated=False, repair_used=False)
+        memo.put("inherited", entry)
+        mark = memo.keys()
+        memo.put("b", entry)
+        memo.put("a", entry)
+        memo.get("inherited")
+        learned = memo.entries_since(mark)
+        assert learned == [("b", entry), ("a", entry)]
+        parent = MemoCache()
+        parent.update(learned)
+        assert parent.get("a") is entry and parent.get("b") is entry
+        assert len(parent) == 2
+
     def test_cached_unsat_short_circuits(self):
         """A remembered UNSAT component kills the prefix on sight."""
         memo = MemoCache()

@@ -9,10 +9,13 @@ exactly its invalidated cells while reusing the baseline's.
 
 from __future__ import annotations
 
+import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.difftest.report import format_table2, format_table3
 from repro.difftest.runner import (
     CampaignConfig,
@@ -20,6 +23,7 @@ from repro.difftest.runner import (
     sequence_campaign_rows,
     stitched_campaign_rows,
 )
+from repro.incremental import ResultStore
 from repro.jit.machine.x86 import X86Backend
 from tests.robustness.test_campaign_resilience import cell_summaries
 
@@ -109,6 +113,40 @@ class TestReadOnce:
         again = run_campaign(config, jobs=jobs, cache_dir=cache_dir)
         assert (lines_read(again), again.cache.hits) == (0, CELLS)
         assert format_table2(again) == format_table2(cold)
+
+
+class TestHeldEncoded:
+    """A loaded store holds its records encoded and decodes one per
+    hit: ``repro mutate`` keeps the store between campaigns and forks
+    every campaign's workers from the process holding it."""
+
+    def test_loaded_store_retains_about_its_file_size(self, cache_dir):
+        run_campaign(CONFIG, cache_dir=cache_dir)
+        store = ResultStore(cache_dir)
+        size = store.path.stat().st_size
+        tracemalloc.start()
+        try:
+            store.load()
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert store.stats.entries == CELLS
+        # Measured on this plan: decoded dicts retain 4.1 times the
+        # file's size, marshal-encoded records 1.05 times.
+        assert retained < 1.5 * size
+
+    def test_gc_writes_each_kept_line_byte_for_byte(self, cache_dir):
+        run_campaign(CONFIG, cache_dir=cache_dir)
+        writer = ResultStore(cache_dir)
+        first = json.loads(writer.path.read_bytes().splitlines()[0])
+        writer.put(first["fingerprint"],
+                   dict(first["cell"], explore_seconds=1.5))
+        kept = {}
+        for line in writer.path.read_bytes().splitlines(keepends=True):
+            kept[json.loads(line)["fingerprint"]] = line
+        assert cli_main(["cache", "--cache-dir", cache_dir, "--gc"]) == 0
+        assert writer.path.read_bytes() == b"".join(
+            kept[fingerprint] for fingerprint in sorted(kept))
 
 
 class TestInvalidationInFlight:

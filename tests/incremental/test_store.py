@@ -34,6 +34,12 @@ class TestRoundTrip:
         assert fresh.get("fp1") == record("cell-a", 1)
         assert fresh.stats.hits == 1
 
+    def test_put_on_a_loaded_store_is_read_back(self, store):
+        store.load()
+        store.put("fp1", record("cell-a", 1))
+        assert store.get("fp1") == record("cell-a", 1)
+        assert store.stats.entries == 1
+
     def test_get_returns_a_copy(self, store):
         store.put("fp1", record("cell-a"))
         first = store.get("fp1")
