@@ -44,28 +44,21 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bytecode.opcodes import bytecode_named, testable_bytecodes
-from repro.concolic.explorer import (
-    BytecodeInstructionSpec,
-    ConcolicExplorer,
-    NativeMethodSpec,
-)
-from repro.concolic.sequences import (
-    INTERESTING_SEQUENCES,
-    interesting_sequences,
-    sequence_spec,
-)
+from repro.bytecode.opcodes import testable_bytecodes
+from repro.concolic.explorer import ConcolicExplorer
+from repro.concolic.sequences import INTERESTING_SEQUENCES
 from repro.difftest.report import format_table2, format_table3
 from repro.difftest.runner import (
     CampaignConfig,
     campaign_rows,
     run_campaign,
     sequence_campaign_rows,
+    spec_named,
     stitched_campaign_rows,
     test_instruction,
 )
 from repro.errors import BytecodeError
-from repro.interpreter.primitives import primitive_named, testable_primitives
+from repro.interpreter.primitives import testable_primitives
 from repro.jit.machine.arm32 import Arm32Backend
 from repro.jit.machine.x86 import X86Backend
 from repro.jit.native_templates import NativeMethodCompiler
@@ -83,32 +76,17 @@ BACKENDS = {"x86": X86Backend, "arm32": Arm32Backend}
 
 
 def resolve_spec(name: str):
-    """Instruction name -> spec (byte-code, primitive, sequence, stitch)."""
-    if name.startswith("stitch:"):
-        from repro.stitch.spec import stitched_spec_named
-
-        try:
-            return stitched_spec_named(name)
-        except BytecodeError as exc:
-            raise SystemExit(f"bad stitched name: {exc}")
-    if name.startswith("seq:"):
-        # A curated sequence's name drops jump operands
-        # (``longJump``), so look the corpus up before re-encoding.
-        for spec in interesting_sequences():
-            if spec.name == name:
-                return spec
-        try:
-            return sequence_spec(*name[4:].split("+"))
-        except BytecodeError as exc:
-            raise SystemExit(f"bad sequence name: {exc}")
-    if name.startswith("primitive"):
-        try:
-            return NativeMethodSpec(primitive_named(name))
-        except KeyError:
-            raise SystemExit(f"unknown primitive: {name}")
+    """Instruction name -> spec (byte-code, primitive, sequence, stitch);
+    a name that names none exits with a message."""
     try:
-        return BytecodeInstructionSpec(bytecode_named(name))
-    except BytecodeError:
+        return spec_named(name)
+    except KeyError:
+        raise SystemExit(f"unknown primitive: {name}")
+    except BytecodeError as exc:
+        if name.startswith("stitch:"):
+            raise SystemExit(f"bad stitched name: {exc}")
+        if name.startswith("seq:"):
+            raise SystemExit(f"bad sequence name: {exc}")
         raise SystemExit(f"unknown instruction: {name}")
 
 

@@ -30,7 +30,7 @@ from repro.errors import (
     InvalidMemoryAccess,
     UntaggedValueError,
 )
-from repro.interpreter.exits import ExitCondition, ExitResult
+from repro.interpreter.exits import ExitResult
 from repro.interpreter.interpreter import Interpreter
 from repro.interpreter.primitives import NativeMethod
 from repro.memory.bootstrap import bootstrap_memory
@@ -194,9 +194,9 @@ class ExplorationCache:
     truncated path sets to healthy cells.
 
     Beside each exploration the cache keeps the instruction's
-    :class:`VMWorld`, in which the differential harness checks every
-    compiler cell of the shard; it lives exactly as long as the shard
-    (or triage trial) that created the cache.
+    :class:`VMWorld`, in which the exploration ran and the differential
+    harness checks every compiler cell of the shard; it lives exactly
+    as long as the shard (or triage trial) that created the cache.
     """
 
     def __init__(self) -> None:
@@ -232,29 +232,30 @@ class ExplorationCache:
 
 
 class VMWorld:
-    """The VM state one instruction is differentially tested in.
+    """The VM state one instruction is explored and tested in.
 
     Bootstrapped memory, symbol table, synthesized method, solver
-    context and a copy-on-write base mark, built in the explorer's
-    order, so the base heap equals the explorer's word for word and a
-    model materializes at the same addresses in both: the output
-    exploration recorded for a path is the output the same inputs give
-    here.  Every compiler and backend of a shard tests in one world
-    (:meth:`ExplorationCache.world`); each comparison rewinds the heap
-    to :attr:`base_mark` before it materializes its inputs, so nothing
-    one comparison writes reaches the next.
+    context and a copy-on-write base mark.  Exploration runs every
+    execution here and records each path's output against
+    :attr:`base_mark`; every compiler and backend of the shard then
+    tests in the same world (:meth:`ExplorationCache.world`), so a
+    model materializes at the addresses it had during exploration and
+    the recorded output is the output the same inputs give here.  Each
+    execution and comparison rewinds the heap to :attr:`base_mark`
+    before it materializes its inputs, so nothing one writes reaches
+    the next.
     """
 
-    def __init__(self, spec) -> None:
+    def __init__(self, spec, heap_words: int = 8 * 1024) -> None:
         self.spec = spec
         self.memory, _known = bootstrap_memory(
-            heap_words=8 * 1024, memory_class=SymbolicObjectMemory
+            heap_words=heap_words, memory_class=SymbolicObjectMemory
         )
         self.symbols = SymbolTable(self.memory)
         self.method = spec.build_method(self.memory, self.symbols)
         self.context = SolverContext.from_memory(self.memory)
         self.base_mark = self.memory.heap.start_journal()
-        #: Built on first use: only a path with no recorded output runs it.
+        #: Built by the first execution.
         self.interpreter: Interpreter | None = None
         perf.incr("test.worlds")
 
@@ -269,15 +270,19 @@ class VMWorld:
         frame = Materializer(self.memory, model).materialize_frame(self.method)
         return frame, heap.checkpoint()
 
-    def interpret(self, frame, input_mark) -> tuple:
+    def interpret(self, frame, input_mark, trace: PathTrace | None = None
+                  ) -> tuple:
         """Run the interpreter on a materialized frame.
 
         Returns the ``(ExitResult, OutputSnapshot)`` pair exploration
-        records for a path, captured against *input_mark*.
+        records for a path, captured against *input_mark*.  Branch
+        decisions go to *trace* (exploration's path condition) when one
+        is given; the capture runs outside it.
         """
         if self.interpreter is None:
             self.interpreter = Interpreter(self.memory, self.symbols)
-        exit_result = self.spec.execute(self.interpreter, frame)
+        with tracing(trace):
+            exit_result = self.spec.execute(self.interpreter, frame)
         output = OutputSnapshot.capture_cow(
             self.memory, frame, exit_result, input_mark
         )
@@ -289,35 +294,26 @@ class VMWorld:
 
 
 class ConcolicExplorer:
-    """Explores all execution paths of one instruction."""
+    """Explores all execution paths of one instruction in a VM world."""
 
     def __init__(
         self,
         spec,
         *,
-        heap_words: int = 8 * 1024,
+        world: VMWorld | None = None,
         max_iterations: int = 400,
         max_paths: int = 128,
         deadline=None,
     ) -> None:
         self.spec = spec
+        #: Where every execution runs: the caller's world (a shard's,
+        #: which then tests the paths found here), else a private one.
+        self.world = world if world is not None else VMWorld(spec)
+        self.memory = self.world.memory
+        self.context = self.world.context
         self.max_iterations = max_iterations
         self.max_paths = max_paths
         self.deadline = deadline
-        self.memory, self.known = bootstrap_memory(
-            heap_words=heap_words, memory_class=SymbolicObjectMemory
-        )
-        self.symbols = SymbolTable(self.memory)
-        self.interpreter = Interpreter(self.memory, self.symbols)
-        self.method = spec.build_method(self.memory, self.symbols)
-        self.context = SolverContext.from_memory(self.memory)
-        #: Heap state right after method synthesis; every iteration
-        #: starts from this state (instructions have side effects).
-        self._base_heap = self.memory.heap.snapshot()
-        #: Copy-on-write checkpoint of the same base state: executions
-        #: rewind the heap's undo journal to it instead of restoring the
-        #: full snapshot, in time proportional to the words they wrote.
-        self._base_mark = self.memory.heap.start_journal()
         #: The path tree and execution memo of the latest exploration,
         #: kept for inspection (``--profile`` reads their gauges).
         self.tree: PathTree | None = None
@@ -496,32 +492,19 @@ class ConcolicExplorer:
     def _execute_once(self, model: Model) -> PathResult:
         """One concolic execution with the inputs described by *model*.
 
-        The heap is rewound to the post-synthesis base state via the
-        copy-on-write journal before and after the run, so the cost per
-        execution is proportional to the words the instruction actually
-        wrote, not to the heap size.
+        The world rewinds its heap to the base state through the
+        copy-on-write journal before materializing (which also cleans
+        up after an exception that escaped mid-execution), and the heap
+        is rewound again after the capture, so the cost per execution
+        is proportional to the words the instruction actually wrote,
+        not to the heap size.
         """
-        memory = self.memory
-        heap = memory.heap
-        if heap.journaling:
-            # Normally a no-op (the previous execution rewound already);
-            # cleans up if an exception escaped mid-execution.
-            heap.rewind(self._base_mark)
-        else:
-            # Journaling was turned off externally; re-establish the
-            # base state the slow way and restart the journal.
-            heap.restore(self._base_heap)
-            self._base_mark = heap.start_journal()
-        memory.reset_registry()
-        materializer = Materializer(memory, model)
-        frame = materializer.materialize_frame(self.method)
-        input_mark = heap.checkpoint()
+        world = self.world
+        frame, input_mark = world.materialize(model)
         perf.incr("snapshot.create")
         trace = PathTrace()
-        with tracing(trace):
-            exit_result = self.spec.execute(self.interpreter, frame)
-        output = OutputSnapshot.capture_cow(memory, frame, exit_result, input_mark)
-        heap.rewind(self._base_mark)
+        exit_result, output = world.interpret(frame, input_mark, trace)
+        world.memory.heap.rewind(world.base_mark)
         perf.incr("snapshot.restore")
         return PathResult(
             instruction=self.spec.name,

@@ -6,7 +6,8 @@ back-end: a code cache, a trampoline table (with the runtime service
 routines registered), a CPU simulator and the compiler.  The VM state
 it tests in (object memory, symbol table, synthesized method, solver
 context) is the instruction's :class:`~repro.concolic.explorer.VMWorld`,
-which the campaign shares between every compiler cell of a shard.
+in which the campaign explores the instruction and then tests every
+compiler cell of its shard.
 
 For each concolic path the harness (paper Fig. 1, step 4):
 
@@ -25,10 +26,11 @@ For each concolic path the harness (paper Fig. 1, step 4):
    and runs the simulator from the materialized input state;
 4. compares exits, values and heap effects with the reference.
 
-The world's base heap equals the explorer's word for word and both
-allocate deterministically, so inputs land at the addresses they had
+Exploration ran in the same world from the same base state, and
+allocation is deterministic, so inputs land at the addresses they had
 during exploration, fresh results at identical addresses, and raw oop
-comparison is exact.
+comparison is exact.  (A private world, as triage trials and
+reproducers build, bootstraps to the same base state.)
 """
 
 from __future__ import annotations

@@ -35,18 +35,20 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro import perf
-from repro.bytecode.opcodes import testable_bytecodes
+from repro.bytecode.opcodes import bytecode_named, testable_bytecodes
 from repro.concolic.explorer import (
     BytecodeInstructionSpec,
     ConcolicExplorer,
     ExplorationCache,
     ExplorationResult,
     NativeMethodSpec,
+    PathResult,
     VMWorld,
 )
+from repro.concolic.solver import Model
 from repro.difftest.curation import curate_paths
 from repro.difftest.harness import ComparisonResult, DifferentialTester, Status
-from repro.interpreter.primitives import testable_primitives
+from repro.interpreter.primitives import primitive_named, testable_primitives
 from repro.jit.machine.arm32 import Arm32Backend
 from repro.jit.machine.x86 import X86Backend
 from repro.jit.native_templates import NativeMethodCompiler
@@ -69,6 +71,11 @@ BYTECODE_COMPILERS = (
     RegisterAllocatingCogit,
 )
 BACKENDS = (X86Backend, Arm32Backend)
+#: Compiler and backend classes by the names cell records carry.
+COMPILERS_BY_NAME = {
+    cls.name: cls for cls in (NativeMethodCompiler,) + BYTECODE_COMPILERS
+}
+BACKENDS_BY_NAME = {cls.name: cls for cls in BACKENDS}
 
 
 @dataclass
@@ -208,10 +215,13 @@ class CampaignConfig:
         )
 
 
-def explore_instruction(spec, config: CampaignConfig,
-                        deadline=None) -> ExplorationResult:
+def explore_instruction(spec, config: CampaignConfig, deadline=None,
+                        world: VMWorld | None = None) -> ExplorationResult:
+    """Explore *spec* at *config*'s budgets in *world* (a private one
+    when omitted)."""
     return ConcolicExplorer(
         spec,
+        world=world,
         max_iterations=config.max_iterations,
         max_paths=config.max_paths_per_instruction,
         deadline=deadline,
@@ -228,9 +238,9 @@ def test_instruction(
 ) -> InstructionTestResult:
     """Explore (or reuse an exploration) and differentially test.
 
-    Every backend tests in *world*, the instruction's VM state (a
-    fresh one when omitted).  The world is built before the clock
-    starts: ``test_seconds`` charges only this compiler's work.
+    Exploration and every backend run in *world*, the instruction's VM
+    state (a fresh one when omitted).  The world is built before the
+    clock starts: ``test_seconds`` charges only this compiler's work.
 
     Runs under ``config.mutants`` (reference-counted, so the
     activation :func:`execute_cell` already holds nests).
@@ -246,11 +256,11 @@ def test_instruction(
 
 def _test_instruction_activated(spec, compiler_class, config, exploration,
                                 deadline, world) -> InstructionTestResult:
-    if exploration is None:
-        exploration = explore_instruction(spec, config, deadline)
     if world is None:
         with guard("harness"):
             world = VMWorld(spec)
+    if exploration is None:
+        exploration = explore_instruction(spec, config, deadline, world)
     curated = curate_paths(exploration.paths)
     result = InstructionTestResult(
         instruction=spec.name,
@@ -282,6 +292,54 @@ def _test_instruction_activated(spec, compiler_class, config, exploration,
     perf.incr("test.cells")
     perf.incr("test.comparisons", len(result.comparisons))
     return result
+
+
+def run_from_data(instruction: str, compiler: str, backend: str, model,
+                  constraints=(), *, max_sim_steps: int = 20_000):
+    """One differential run rebuilt from plain data, in a fresh world.
+
+    The cell is named by instruction, compiler and backend; *model* is
+    a :class:`~repro.concolic.solver.Model` or its ``to_dict()``
+    payload, and *constraints* the path condition it satisfies.
+    Triage trials, emitted reproducers and generated test modules all
+    re-run a path through here.  Returns the
+    :class:`~repro.difftest.harness.ComparisonResult`.
+    """
+    spec = spec_named(instruction)
+    tester = DifferentialTester(
+        spec, BACKENDS_BY_NAME[backend](), COMPILERS_BY_NAME[compiler],
+        max_sim_steps=max_sim_steps,
+    )
+    if isinstance(model, dict):
+        model = Model.from_dict(tester.context, model)
+    path = PathResult(instruction=spec.name, kind=spec.kind,
+                      constraints=list(constraints), model=model,
+                      exit=None, output=None)
+    return tester.run_path(path)
+
+
+def spec_named(name: str):
+    """Instruction name -> spec: the name's prefix decides the kind.
+
+    ``stitch:`` names encode operand bytes and round-trip.  A curated
+    sequence's ``seq:`` name drops jump operands (``longJump``), so the
+    curated corpus is looked up before the name is re-encoded.  An
+    unknown name raises :class:`~repro.errors.BytecodeError` (a
+    ``KeyError`` for an unknown primitive).
+    """
+    from repro.concolic.sequences import interesting_sequences, sequence_spec
+    from repro.stitch.spec import stitched_spec_named
+
+    if name.startswith("stitch:"):
+        return stitched_spec_named(name)
+    if name.startswith("seq:"):
+        for spec in interesting_sequences():
+            if spec.name == name:
+                return spec
+        return sequence_spec(*name[len("seq:"):].split("+"))
+    if name.startswith("primitive"):
+        return NativeMethodSpec(primitive_named(name))
+    return BytecodeInstructionSpec(bytecode_named(name))
 
 
 def _scope_specs(specs: list, config: CampaignConfig) -> list:
@@ -504,20 +562,22 @@ def _execute_cell_attempts(config: CampaignConfig, deadline, spec,
     for attempt, cfg in enumerate((config, config.reduced())):
         deadline.check(f"cell {spec.name}/{compiler_class.name}")
         try:
-            exploration = explorations.get(spec)
-            if exploration is None:
-                with guard("explorer"):
-                    exploration = explore_instruction(spec, cfg, deadline)
-                if attempt == 0:
-                    # Only full-budget explorations enter the shared
-                    # cache; retries keep their reduced paths private.
-                    explorations.put(spec, exploration)
             with guard("harness"):
-                # Likewise only first attempts test in the shard's
+                # Only first attempts explore and test in the shard's
                 # world; a retry builds its own, so a cell that crashed
                 # mid-path leaves nothing behind for the next cell.
                 world = (explorations.world(spec) if attempt == 0
                          else VMWorld(spec))
+            exploration = explorations.get(spec)
+            if exploration is None:
+                with guard("explorer"):
+                    exploration = explore_instruction(spec, cfg, deadline,
+                                                      world)
+                if attempt == 0:
+                    # Likewise only full-budget explorations enter the
+                    # shared cache; retries keep their reduced paths
+                    # private.
+                    explorations.put(spec, exploration)
             result = test_instruction(
                 spec, compiler_class, cfg, exploration, deadline, world
             )

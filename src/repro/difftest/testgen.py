@@ -6,8 +6,9 @@ fast, reproducible tests ("our tests are fast to run and easy to
 debug", Section 6).  This module renders each curated path of an
 instruction as one standalone pytest function: the generated module
 rebuilds the input model from its serialized literal form, re-runs the
-differential comparison, and asserts that interpreter and compiled code
-agree.
+differential comparison through
+:func:`~repro.difftest.runner.run_from_data` (as triage's reproducers
+do), and asserts that interpreter and compiled code agree.
 
 Paths that are *known differences* at generation time are emitted as
 ``xfail`` tests — they are the bug reports; when a VM developer fixes
@@ -25,22 +26,16 @@ The generated modules depend only on the installed ``repro`` package.
 
 from __future__ import annotations
 
+import hashlib
 import pathlib
 import re
 from dataclasses import dataclass
 
-from repro.concolic.explorer import (
-    BytecodeInstructionSpec,
-    ExplorationResult,
-    NativeMethodSpec,
-)
+from repro.concolic.explorer import ExplorationResult
 from repro.difftest.curation import curate_paths
 from repro.difftest.harness import DifferentialTester, Status
 from repro.difftest.runner import CampaignConfig, explore_instruction
-from repro.jit.machine.arm32 import Arm32Backend
 from repro.jit.machine.x86 import X86Backend
-
-_BACKEND_CLASSES = {"x86": "X86Backend", "arm32": "Arm32Backend"}
 
 _MODULE_HEADER = '''\
 """Generated differential unit tests for {instruction}.
@@ -53,40 +48,11 @@ equivalence.  xfail tests are known interpreter/compiler differences.
 
 import pytest
 
-from repro.concolic.explorer import (
-    BytecodeInstructionSpec,
-    NativeMethodSpec,
-)
-from repro.concolic.solver.model import Model, SolverContext
-from repro.concolic.trace import PathConstraint
-from repro.difftest.harness import DifferentialTester, Status
-from repro.jit.machine.arm32 import Arm32Backend
-from repro.jit.machine.x86 import X86Backend
-from repro.jit.native_templates import NativeMethodCompiler
-from repro.jit.register_allocating import RegisterAllocatingCogit
-from repro.jit.simple_stack import SimpleStackBasedCogit
-from repro.jit.stack_to_register import StackToRegisterCogit
+from repro.difftest.harness import Status
+from repro.difftest.runner import run_from_data
 
-
-def _spec():
-    {spec_expr}
-
-
-def _run(model_data, backend_class):
-    spec = _spec()
-    tester = DifferentialTester(spec, backend_class(), {compiler})
-    from repro.concolic.solver.model import SolverContext
-
-    context = SolverContext.from_memory(tester.memory)
-    model = Model.from_dict(context, model_data)
-
-    class _Path:
-        pass
-
-    path = _Path()
-    path.model = model
-    path.constraints = []
-    return tester.run_path(path)
+INSTRUCTION = {instruction!r}
+COMPILER = {compiler!r}
 
 
 def _assert_equivalent(result):
@@ -97,12 +63,13 @@ def _assert_equivalent(result):
 
 _TEST_TEMPLATE = '''
 
-{marker}@pytest.mark.parametrize("backend", [X86Backend, Arm32Backend],
-                         ids=["x86", "arm32"])
+{marker}@pytest.mark.parametrize("backend", ["x86", "arm32"])
 def test_path_{index:03d}_{slug}(backend):
     """{doc}"""
     model_data = {model_data!r}
-    _assert_equivalent(_run(model_data, backend))
+    _assert_equivalent(
+        run_from_data(INSTRUCTION, COMPILER, backend, model_data)
+    )
 '''
 
 
@@ -139,22 +106,8 @@ def generate_test_module(
     tester = DifferentialTester(spec, X86Backend(), compiler_class)
     verdicts = [tester.run_path(path) for path in curated]
 
-    if isinstance(spec, BytecodeInstructionSpec):
-        spec_expr = (
-            "from repro.bytecode.opcodes import bytecode_named\n"
-            f"    return BytecodeInstructionSpec("
-            f"bytecode_named({spec.name!r}))"
-        )
-    else:
-        spec_expr = (
-            "from repro.interpreter.primitives import primitive_named\n"
-            f"    return NativeMethodSpec(primitive_named({spec.name!r}))"
-        )
-
     source = _MODULE_HEADER.format(
-        instruction=spec.name,
-        compiler=compiler_class.__name__,
-        spec_expr=spec_expr,
+        instruction=spec.name, compiler=compiler_class.name
     )
     xfails = 0
     for index, (path, verdict) in enumerate(zip(curated, verdicts)):
@@ -203,7 +156,11 @@ def write_test_suite(
         exploration = explore_instruction(spec, config)
         for compiler_class in compiler_classes:
             suite = generate_test_module(spec, compiler_class, exploration, config)
-            name = f"test_{_slugify(spec.name)}_{_slugify(compiler_class.__name__)}.py"
+            # The slug is lossy and cut at 40 characters (stitched names
+            # share long prefixes); the digest keeps file names unique.
+            digest = hashlib.sha1(spec.name.encode()).hexdigest()[:8]
+            name = (f"test_{_slugify(spec.name)}_{digest}_"
+                    f"{_slugify(compiler_class.__name__)}.py")
             (output / name).write_text(suite.source)
             suites.append(suite)
     return suites

@@ -110,27 +110,11 @@ class Heap:
         return address
 
     # ------------------------------------------------------------------
-    # snapshots (used to compare side effects between engines)
+    # full snapshots (the references the journal is tested against)
 
     def snapshot(self) -> tuple[int, ...]:
         """Immutable copy of the allocated portion of the heap."""
         return tuple(self._words[: self._alloc_index])
-
-    def restore(self, snapshot: tuple[int, ...]) -> None:
-        """Restore a snapshot taken earlier, truncating later allocations.
-
-        Restoring resets any active copy-on-write journal: checkpoints
-        taken before the restore are invalidated (the journal no longer
-        describes the words it would rewind).
-        """
-        if len(snapshot) > len(self._words):
-            raise ValueError("snapshot larger than heap")
-        self._words[: len(snapshot)] = list(snapshot)
-        for index in range(len(snapshot), self._alloc_index):
-            self._words[index] = 0
-        self._alloc_index = len(snapshot)
-        if self._journal is not None:
-            self._journal = []
 
     # ------------------------------------------------------------------
     # copy-on-write checkpoints (undo journal)
@@ -149,9 +133,6 @@ class Heap:
         """
         self._journal = []
         return HeapCheckpoint(0, self._alloc_index)
-
-    def stop_journal(self) -> None:
-        self._journal = None
 
     def checkpoint(self) -> HeapCheckpoint:
         """O(1) copy-on-write snapshot of the current heap state."""

@@ -36,10 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import perf
-from repro.concolic.solver import SolverContext
-from repro.concolic.symbolic_memory import SymbolicObjectMemory
 from repro.errors import BytecodeError
-from repro.memory.bootstrap import bootstrap_memory
 from repro.stitch.compat import compatible, reads_entry_state
 from repro.stitch.spec import StitchedMethodSpec, stitched_spec
 from repro.stitch.templates import derive_templates
@@ -154,10 +151,6 @@ def _build(budget: StitchBudget) -> tuple:
         )
         for spec in specs
     ]
-    memory, _known = bootstrap_memory(
-        heap_words=8 * 1024, memory_class=SymbolicObjectMemory
-    )
-    context = SolverContext.from_memory(memory)
 
     # Fragment-level compatibility: first template witness wins.
     memo: dict = {}
@@ -168,7 +161,7 @@ def _build(budget: StitchBudget) -> tuple:
             continue
         for j, suffix_templates in enumerate(templates):
             if any(
-                compatible(a, b, context, memo=memo)
+                compatible(a, b, b.model.context, memo=memo)
                 for a in cleans
                 for b in suffix_templates
             ):

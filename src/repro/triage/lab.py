@@ -19,67 +19,19 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.bytecode.opcodes import bytecode_named
-from repro.concolic.explorer import (
-    BytecodeInstructionSpec,
-    ExplorationCache,
-    NativeMethodSpec,
-    PathResult,
-)
-from repro.concolic.solver import SolverContext
-from repro.concolic.symbolic_memory import SymbolicObjectMemory
+from repro.concolic.explorer import ExplorationCache, PathResult
 from repro.difftest.curation import curate_paths
 from repro.difftest.defects import classify
-from repro.difftest.harness import DifferentialTester
 from repro.difftest.runner import (
-    BYTECODE_COMPILERS,
+    COMPILERS_BY_NAME,
     execute_cell,
     explore_instruction,
+    run_from_data,
+    spec_named,
 )
-from repro.interpreter.primitives import primitive_named
-from repro.jit.machine.arm32 import Arm32Backend
-from repro.jit.machine.x86 import X86Backend
-from repro.jit.native_templates import NativeMethodCompiler
-from repro.memory.bootstrap import bootstrap_memory
 from repro.robustness.budgets import Deadline
 from repro.robustness.errors import CampaignError, classify_crash, guard
 from repro.triage.signature import exit_pair
-
-_COMPILERS = {
-    cls.name: cls for cls in (NativeMethodCompiler,) + BYTECODE_COMPILERS
-}
-_BACKENDS = {"x86": X86Backend, "arm32": Arm32Backend}
-
-
-def spec_for(kind: str, instruction: str):
-    """Resolve a (kind, instruction-name) pair back to its spec."""
-    if kind == "stitched" or instruction.startswith("stitch:"):
-        # Stitched names encode operand bytes, so the round-trip is
-        # exact (sequence names drop them; see repro.stitch.spec).
-        from repro.stitch.spec import stitched_spec_named
-
-        return stitched_spec_named(instruction)
-    if kind == "sequence" or instruction.startswith("seq:"):
-        from repro.concolic.sequences import sequence_spec
-
-        return sequence_spec(*instruction[len("seq:"):].split("+"))
-    if kind == "native":
-        return NativeMethodSpec(primitive_named(instruction))
-    return BytecodeInstructionSpec(bytecode_named(instruction))
-
-
-def compiler_for(name: str):
-    try:
-        return _COMPILERS[name]
-    except KeyError:
-        raise ValueError(f"unknown compiler {name!r}")
-
-
-def backend_class_for(name: str):
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(f"unknown backend {name!r}")
 
 
 def matches(candidate, comparison) -> bool:
@@ -116,31 +68,13 @@ class TriageLab:
         # during a trial simply mean "did not reproduce".
         self.config = replace(config, fail_fast=False)
         self._explorations = ExplorationCache()
-        self._context: SolverContext | None = None
-
-    # ------------------------------------------------------------------
-    # solver context (for re-solving shrunken path conditions)
-
-    def solver_context(self) -> SolverContext:
-        """One deterministic bootstrap context, shared by all trials.
-
-        Bootstrap is deterministic, so this context agrees with the one
-        every explorer and tester builds for itself — models solved
-        here materialize identically in a fresh tester.
-        """
-        if self._context is None:
-            memory, _known = bootstrap_memory(
-                heap_words=8 * 1024, memory_class=SymbolicObjectMemory
-            )
-            self._context = SolverContext.from_memory(memory)
-        return self._context
 
     # ------------------------------------------------------------------
     # path relocation
 
-    def explore(self, kind: str, instruction: str):
+    def explore(self, instruction: str):
         """Cached full-budget exploration; None if exploring crashes."""
-        spec = spec_for(kind, instruction)
+        spec = spec_named(instruction)
         exploration = self._explorations.get(spec)
         if exploration is None:
             try:
@@ -161,7 +95,7 @@ class TriageLab:
         wanted = tuple(tuple(entry) for entry in candidate.path_signature)
         if not wanted:
             return None
-        exploration = self.explore(candidate.kind, candidate.instruction)
+        exploration = self.explore(candidate.instruction)
         if exploration is None:
             return None
         for path in curate_paths(exploration.paths):
@@ -188,30 +122,15 @@ class TriageLab:
 
         try:
             with activated(getattr(self.config, "mutants", ())):
-                return self._trial(candidate, constraints, model)
+                return run_from_data(
+                    candidate.instruction, candidate.compiler,
+                    candidate.backend, model, constraints,
+                    max_sim_steps=self.config.max_sim_steps,
+                )
         except CampaignError:
             return None
         except Exception:
             return None
-
-    def _trial(self, candidate, constraints, model):
-        spec = spec_for(candidate.kind, candidate.instruction)
-        tester = DifferentialTester(
-            spec,
-            backend_class_for(candidate.backend)(),
-            compiler_for(candidate.compiler),
-            max_sim_steps=self.config.max_sim_steps,
-            deadline=None,
-        )
-        path = PathResult(
-            instruction=spec.name,
-            kind=spec.kind,
-            constraints=list(constraints),
-            model=model,
-            exit=None,
-            output=None,
-        )
-        return tester.run_path(path)
 
     def run_cell(self, candidate):
         """One fresh full-cell execution (crash confirmation).
@@ -220,8 +139,8 @@ class TriageLab:
         ``None`` if it completed cleanly this time.
         """
         try:
-            spec = spec_for(candidate.kind, candidate.instruction)
-            compiler_class = compiler_for(candidate.compiler)
+            spec = spec_named(candidate.instruction)
+            compiler_class = COMPILERS_BY_NAME[candidate.compiler]
         except Exception:
             return None
         try:

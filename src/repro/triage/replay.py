@@ -18,11 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.concolic.explorer import PathResult
-from repro.concolic.solver import Model
 from repro.difftest.defects import classify
-from repro.difftest.harness import DifferentialTester
-from repro.triage.lab import backend_class_for, compiler_for, spec_for
+from repro.difftest.runner import run_from_data
 from repro.triage.signature import exit_pair
 
 
@@ -93,25 +90,13 @@ def replay(expect: dict, model_data: dict, constraints, *,
 
 def _replay_activated(expect: dict, model_data: dict, constraints, *,
                       max_sim_steps: int) -> ReplayVerdict:
-    spec = spec_for(expect["kind"], expect["instruction"])
-    backend = backend_class_for(expect["backend"])()
-    compiler_class = compiler_for(expect["compiler"])
     try:
-        tester = DifferentialTester(
-            spec, backend, compiler_class, max_sim_steps=max_sim_steps
+        comparison = run_from_data(
+            expect["instruction"], expect["compiler"], expect["backend"],
+            model_data,
+            [RecordedConstraint(term, taken) for term, taken in constraints],
+            max_sim_steps=max_sim_steps,
         )
-        model = Model.from_dict(tester.context, model_data)
-        path = PathResult(
-            instruction=spec.name,
-            kind=spec.kind,
-            constraints=[
-                RecordedConstraint(term, taken) for term, taken in constraints
-            ],
-            model=model,
-            exit=None,
-            output=None,
-        )
-        comparison = tester.run_path(path)
     except Exception:
         return ReplayVerdict(reproduced=False, expected=expect)
     reproduced = False

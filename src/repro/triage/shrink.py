@@ -59,7 +59,7 @@ def _clone_model(model: Model) -> Model:
 
 def _shrink_constraints(lab, candidate, constraints, model):
     """Pass 1: minimal constraint subset, greedy to a fixpoint."""
-    context = lab.solver_context()
+    context = model.context
     trials = 0
     changed = True
     while changed:

@@ -120,15 +120,6 @@ class TestExplorerIntegration:
         assert explorer.memory.heap.snapshot() == base
         assert explorer.memory.heap.journaling
 
-    def test_execute_with_model_recovers_from_stopped_journal(self):
-        explorer = ConcolicExplorer(
-            BytecodeInstructionSpec(bytecode_named("pushTrue"))
-        )
-        explorer.memory.heap.stop_journal()
-        path = explorer.execute_with_model(Model(explorer.context))
-        assert path.exit is not None
-        assert explorer.memory.heap.journaling
-
     def test_snapshot_counters_are_recorded(self):
         perf.enable()
         try:

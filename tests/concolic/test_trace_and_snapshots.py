@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.concolic.abstract import AbstractFrameSpec, AbstractValue
-from repro.concolic.explorer import ConcolicExplorer, NativeMethodSpec
+from repro.concolic.explorer import (
+    ConcolicExplorer,
+    NativeMethodSpec,
+    VMWorld,
+)
 from repro.concolic.snapshots import OutputSnapshot, describe_value, render_oop
 from repro.concolic.terms import Sort, compare, not_, var
 from repro.concolic.trace import PathConstraint, PathTrace
@@ -117,7 +121,7 @@ class TestGarbageCollectionExit:
         spec = NativeMethodSpec(primitive_named("primitiveFFIAllocate"))
         # A heap too small for the boundary-sized allocation the
         # exploration's bound-negation witnesses ask for (4095 bytes).
-        explorer = ConcolicExplorer(spec, heap_words=1024)
+        explorer = ConcolicExplorer(spec, world=VMWorld(spec, heap_words=1024))
         result = explorer.explore()
         conditions = {p.exit.condition for p in result.paths}
         assert ExitCondition.NEEDS_GARBAGE_COLLECTION in conditions

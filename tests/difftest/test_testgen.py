@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,8 +12,10 @@ import pytest
 from repro.bytecode.opcodes import bytecode_named
 from repro.concolic.explorer import BytecodeInstructionSpec, NativeMethodSpec
 from repro.concolic.solver.model import Kind, KindTag, Model, SolverContext
+from repro.concolic.sequences import sequence_spec
 from repro.difftest.testgen import (
     GeneratedSuite,
+    _slugify,
     generate_test_module,
     write_test_suite,
 )
@@ -20,6 +23,7 @@ from repro.interpreter.primitives import primitive_named
 from repro.jit.native_templates import NativeMethodCompiler
 from repro.jit.stack_to_register import StackToRegisterCogit
 from repro.memory.bootstrap import bootstrap_memory
+from repro.stitch.spec import stitched_spec_named
 
 
 class TestModelSerialization:
@@ -80,12 +84,33 @@ class TestGeneration:
         assert len(files) == 1
         assert (tmp_path / "__init__.py").exists()
 
+    def test_stitched_names_sharing_a_prefix_write_distinct_files(
+            self, tmp_path):
+        specs = [
+            stitched_spec_named(
+                "stitch:pushTrue+popStackTop+pushOne+pushTwo+" + tail
+            )
+            for tail in ("bytecodePrimAdd", "bytecodePrimSubtract")
+        ]
+        assert _slugify(specs[0].name) == _slugify(specs[1].name)
+        suites = write_test_suite(tmp_path, specs, [StackToRegisterCogit])
+        assert len(suites) == 2
+        assert len(list(tmp_path.glob("test_*.py"))) == 2
+
     def test_generated_suite_passes_under_pytest(self, tmp_path):
-        """End-to-end: a generated module runs green under pytest."""
-        write_test_suite(
+        """End-to-end: generated modules run green under pytest, for a
+        primitive, a sequence and a stitched method alike."""
+        suites = write_test_suite(
             tmp_path,
             [NativeMethodSpec(primitive_named("primitiveBitAnd"))],
             [NativeMethodCompiler],
+        )
+        suites += write_test_suite(
+            tmp_path,
+            [sequence_spec("pushTrue", "popStackTop"),
+             stitched_spec_named(
+                 "stitch:pushOne+longJump.1+nop+pushTwo+bytecodePrimAdd")],
+            [StackToRegisterCogit],
         )
         completed = subprocess.run(
             [sys.executable, "-m", "pytest", str(tmp_path), "-q",
@@ -96,3 +121,10 @@ class TestGeneration:
         )
         assert completed.returncode == 0, completed.stdout + completed.stderr
         assert "xfailed" in completed.stdout  # defects surfaced as xfail
+        # Every generated test ran: one per curated path and backend.
+        ran = sum(
+            int(count) for count in re.findall(
+                r"(\d+) (?:passed|xfailed)", completed.stdout.splitlines()[-1]
+            )
+        )
+        assert ran == 2 * sum(suite.test_count for suite in suites) > 0

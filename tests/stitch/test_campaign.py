@@ -78,10 +78,10 @@ class TestStitchedCampaign:
 
 class TestTriageResolution:
     def test_spec_for_resolves_stitched_cells(self, sequential):
-        from repro.triage.lab import spec_for
+        from repro.difftest.runner import spec_named
 
         cell = sequential[0].results[0]
-        spec = spec_for("stitched", cell.instruction)
+        spec = spec_named(cell.instruction)
         assert spec.name == cell.instruction
         assert spec.kind == "stitched"
 
