@@ -93,7 +93,7 @@ def test_extension_sequences_clean_on_production_compiler(benchmark):
     lines = ["Sequence corpus vs StackToRegisterCogit (x86):"]
     for result in results:
         lines.append(
-            f"  {result.instruction:60s} paths={result.curated_path_count} "
+            f"  {result.instruction:60s} paths={result.curated_paths} "
             f"diff={result.differing_paths}"
         )
     write_artifact("extension_sequences.txt", "\n".join(lines))
@@ -101,7 +101,7 @@ def test_extension_sequences_clean_on_production_compiler(benchmark):
         "extension_sequences",
         {
             result.instruction: {
-                "curated_paths": result.curated_path_count,
+                "curated_paths": result.curated_paths,
                 "differing_paths": result.differing_paths,
             }
             for result in results

@@ -5,7 +5,7 @@ native method instructions approach 10 paths in average" (paper
 Section 5.3, Fig. 5 — log-scale box plot).
 
 The benchmark measures one exploration of each kind; the distribution
-is rendered from the session campaign's cached explorations.
+is rendered from the session campaign's cells, one per instruction.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from repro import bytecode_named, explore_bytecode
 from repro.difftest.report import format_distributions, paths_per_instruction
 
 
-def test_fig5_paths_per_instruction(benchmark, explorations):
+def test_fig5_paths_per_instruction(benchmark, instruction_cells):
     benchmark(lambda: explore_bytecode(bytecode_named("bytecodePrimLessThan")))
 
-    distributions = paths_per_instruction(explorations)
+    distributions = paths_per_instruction(instruction_cells)
     write_artifact(
         "fig5_paths_per_instruction.txt",
         format_distributions("Paths per instruction (Fig. 5)", distributions),

@@ -45,9 +45,9 @@ def test_fig6_native_exploration_time(benchmark):
     assert result.path_count >= 6
 
 
-def test_fig6_distributions(benchmark, explorations):
+def test_fig6_distributions(benchmark, instruction_cells):
     # A tiny measured unit so the artifact rendering is also timed.
-    distributions = benchmark(lambda: exploration_times(explorations))
+    distributions = benchmark(lambda: exploration_times(instruction_cells))
     write_artifact(
         "fig6_concolic_time.txt",
         format_distributions(

@@ -38,7 +38,7 @@ def test_fig7_single_instruction_test_time(benchmark):
         return run_instruction_test(spec, StackToRegisterCogit, config)
 
     result = benchmark.pedantic(unit, rounds=3, iterations=1)
-    assert result.curated_path_count >= 5
+    assert result.curated_paths >= 5
 
 
 def test_fig7_distributions(benchmark, campaign):

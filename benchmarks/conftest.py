@@ -48,12 +48,13 @@ def campaign():
 
 
 @pytest.fixture(scope="session")
-def explorations(campaign):
-    """Unique concolic explorations, one per instruction."""
+def instruction_cells(campaign):
+    """One cell per instruction: each carries its instruction's
+    exploration path count and time."""
     seen = {}
     for report in campaign:
         for result in report.results:
-            seen[(result.kind, result.instruction)] = result.exploration
+            seen[(result.kind, result.instruction)] = result
     return list(seen.values())
 
 

@@ -52,7 +52,7 @@ def show_differential_test() -> None:
     print()
     print(
         f"=> {report.differing_paths} differing path(s) out of "
-        f"{report.curated_path_count} curated paths"
+        f"{report.curated_paths} curated paths"
     )
     print(
         "   (the difference is the paper's 'optimisation difference': the\n"

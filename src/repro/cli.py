@@ -151,7 +151,7 @@ def cmd_test(args) -> int:
     for comparison in result.comparisons:
         print(comparison.describe())
     print(
-        f"\n{result.differing_paths} differing / {result.curated_path_count} "
+        f"\n{result.differing_paths} differing / {result.curated_paths} "
         f"curated paths on {compiler.name}"
     )
     return 1 if result.differing_paths else 0
@@ -475,34 +475,23 @@ def cmd_list(args) -> int:
 
 
 def cmd_disasm(args) -> int:
-    from repro.bytecode.methods import SymbolTable
+    from repro.difftest.harness import DifferentialTester
     from repro.jit.compiler import CompilationUnit
-    from repro.jit.machine.codecache import CodeCache
     from repro.jit.machine.disassembler import format_disassembly
-    from repro.jit.machine.simulator import TrampolineTable
-    from repro.memory.bootstrap import bootstrap_memory
 
     spec = resolve_spec(args.instruction)
     compiler_class = COMPILERS[args.compiler or default_compiler_for(spec)]
     backend = BACKENDS[args.backend[0]]()
-    memory, _known = bootstrap_memory(heap_words=2048)
-    symbols = SymbolTable(memory)
-    trampolines = TrampolineTable()
-    for service in ("ceAllocateFloat", "ceNewFixedInstance",
-                    "ceNewVariableInstance", "ceMakePoint"):
-        trampolines.service(service, lambda sim: None)
-    method = spec.build_method(memory, symbols)
+    tester = DifferentialTester(spec, backend, compiler_class)
     unit = CompilationUnit(
-        method=method,
+        method=tester.method,
         bytecode=getattr(spec, "bytecode", None),
         native=getattr(spec, "native", None),
         sequence=tuple(getattr(spec, "sequence", ())),
     )
-    compiler = compiler_class(
-        memory, trampolines, CodeCache(), backend, symbols
-    )
-    compiled = compiler.compile(unit)
-    print(format_disassembly(compiled.code_object, backend, trampolines))
+    compiled = tester.compiler.compile(unit)
+    print(format_disassembly(compiled.code_object, backend,
+                             tester.trampolines))
     return 0
 
 

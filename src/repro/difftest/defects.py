@@ -62,8 +62,8 @@ def classify(result: ComparisonResult) -> Defect:
             DefectCategory.SIMULATION_ERROR, f"missing-getter:{register}"
         )
 
-    interp = result.interpreter_exit
-    outcome = result.machine_outcome
+    interp = result.interpreter_condition
+    outcome = result.outcome_kind
 
     if result.difference_kind == "machine_fault":
         # Compiled code crashed where the (safe) interpreter did not:
@@ -74,24 +74,14 @@ def classify(result: ComparisonResult) -> Defect:
         )
 
     if result.kind == "native":
-        if (
-            interp is not None
-            and interp.condition == ExitCondition.SUCCESS
-            and outcome is not None
-            and outcome.kind == OutcomeKind.STOPPED
-        ):
+        if interp == ExitCondition.SUCCESS and outcome == OutcomeKind.STOPPED:
             # The compiled code is stricter than the interpreter: the
             # interpreter ran a path it should have rejected.
             return Defect(
                 DefectCategory.MISSING_INTERPRETER_TYPE_CHECK,
                 f"{result.instruction}:assertion-removed",
             )
-        if (
-            interp is not None
-            and interp.condition == ExitCondition.FAILURE
-            and outcome is not None
-            and outcome.kind == OutcomeKind.RETURNED
-        ):
+        if interp == ExitCondition.FAILURE and outcome == OutcomeKind.RETURNED:
             # Compiled code accepts operands the interpreter rejects.
             return Defect(
                 DefectCategory.BEHAVIOURAL_DIFFERENCE,
@@ -104,10 +94,9 @@ def classify(result: ComparisonResult) -> Defect:
                 f"{result.instruction}:wrong-result",
             )
         if (
-            interp is not None
-            and interp.condition == ExitCondition.SUCCESS
+            interp == ExitCondition.SUCCESS
             and outcome is not None
-            and outcome.kind != OutcomeKind.RETURNED
+            and outcome != OutcomeKind.RETURNED
         ):
             return Defect(
                 DefectCategory.MISSING_COMPILED_TYPE_CHECK,
@@ -116,20 +105,14 @@ def classify(result: ComparisonResult) -> Defect:
         return Defect(DefectCategory.UNCLASSIFIED, result.describe())
 
     # byte-code differences
-    if (
-        interp is not None
-        and interp.condition == ExitCondition.SUCCESS
-        and outcome is not None
-        and outcome.kind == OutcomeKind.TRAMPOLINE
-    ):
+    if interp == ExitCondition.SUCCESS and outcome == OutcomeKind.TRAMPOLINE:
         # The interpreter inlines this path; the compiler emits a send:
         # "optimizations exist ... on the interpreter instruction" but
         # not in the compiler.  The cause is per instruction family and
         # operand shape, shared across compilers.
-        operand_shape = _operand_shape(result)
         return Defect(
             DefectCategory.OPTIMISATION_DIFFERENCE,
-            f"{_family_of(result)}:{operand_shape}-not-inlined",
+            f"{_family_of(result)}:{result.operand_shape}-not-inlined",
         )
     if result.difference_kind in ("output_mismatch", "heap_effect_mismatch"):
         return Defect(
@@ -137,11 +120,6 @@ def classify(result: ComparisonResult) -> Defect:
             f"{result.instruction}:wrong-result",
         )
     return Defect(DefectCategory.UNCLASSIFIED, result.describe())
-
-
-def _operand_shape(result: ComparisonResult) -> str:
-    """Coarse operand-type signature of the path (int vs float)."""
-    return result.operand_shape()
 
 
 def group_causes(results) -> dict:

@@ -56,7 +56,6 @@ from repro.jit.compiler import (
 from repro.jit.machine.codecache import CodeCache
 from repro.jit.machine.simulator import (
     END_SENTINEL,
-    MachineOutcome,
     MachineSimulator,
     OutcomeKind,
     STACK_TOP,
@@ -83,9 +82,41 @@ class Status(enum.Enum):
     CRASHED = "crashed"
 
 
+def exit_pair(interpreter_condition: str | None,
+              outcome_kind: str | None) -> str:
+    """The interpreter-exit × machine-outcome pair, e.g. ``success x -``.
+
+    ``-`` stands for "no exit recorded on that side": the machine side
+    is ``-`` when the pipeline stopped before a machine outcome existed
+    (compile refusal, simulation error).
+    """
+    return f"{interpreter_condition or '-'} x {outcome_kind or '-'}"
+
+
+def operand_shape_of(constraints) -> str:
+    """Coarse operand-type signature of a path condition (int vs
+    float); defect classification keys optimisation differences on it."""
+    rendered = [str(constraint) for constraint in constraints]
+    if any(text.startswith("is_float") for text in rendered):
+        return "float"
+    if any(text.startswith("is_small_int") for text in rendered):
+        return "int"
+    return "generic"
+
+
+def _value(member: enum.Enum | None) -> str | None:
+    return None if member is None else member.value
+
+
 @dataclass
 class ComparisonResult:
-    """The outcome of comparing one path on one compiler/backend."""
+    """The verdict of one path on one compiler/backend.
+
+    It holds exactly what its record carries (:meth:`to_record`):
+    :meth:`DifferentialTester.run_path` fills it once from the live
+    path, exit and outcome, and :meth:`from_record` reads it back, so a
+    verdict from a worker pipe or the journal is the verdict itself.
+    """
 
     instruction: str
     kind: str  # "bytecode" | "native"
@@ -96,20 +127,28 @@ class ComparisonResult:
     #: heap_effect_mismatch | machine_fault | compile_missing |
     #: simulation_error
     difference_kind: str | None = None
-    interpreter_exit: ExitResult | None = None
-    machine_outcome: MachineOutcome | None = None
     detail: str = ""
-    path: PathResult | None = None
-    #: Operand shape replayed from a journal/worker record when the
-    #: live ``path`` is gone; read via :meth:`operand_shape`.
-    _operand_shape: str | None = None
-    #: Path-constraint signature replayed from a record when the live
-    #: ``path`` is gone; read via :meth:`path_signature`.
-    _path_signature: tuple | None = None
+    #: The facts :func:`repro.difftest.defects.classify` dispatches on:
+    #: the interpreter's exit condition, the compiled run's outcome
+    #: kind (None where that side did not run) and the path's
+    #: :func:`operand_shape_of`.
+    interpreter_condition: ExitCondition | None = None
+    outcome_kind: OutcomeKind | None = None
+    operand_shape: str = "unknown"
+    #: The path condition as ``((term, taken), ...)``, which lets triage
+    #: relocate the path in a re-exploration of the instruction.  ``()``
+    #: is the empty path condition; None means no signature was
+    #: recorded.
+    path_signature: tuple | None = None
 
     @property
     def is_difference(self) -> bool:
         return self.status == Status.DIFFERENCE
+
+    @property
+    def exit_pair(self) -> str:
+        return exit_pair(_value(self.interpreter_condition),
+                         _value(self.outcome_kind))
 
     def describe(self) -> str:
         parts = [
@@ -125,74 +164,30 @@ class ComparisonResult:
     # ------------------------------------------------------------------
     # journal / worker-message serialization
 
-    def operand_shape(self) -> str:
-        """Coarse operand-type signature of the path (int vs float).
-
-        Survives serialization: computed from the live path when we
-        have one, replayed from the record otherwise (defect
-        classification keys optimisation differences on it)."""
-        if self.path is None:
-            return self._operand_shape or "unknown"
-        has_float = any(
-            str(c).startswith("is_float") for c in self.path.constraints
-        )
-        if has_float:
-            return "float"
-        has_int = any(
-            str(c).startswith("is_small_int") for c in self.path.constraints
-        )
-        if has_int:
-            return "int"
-        return "generic"
-
-    def path_signature(self) -> tuple:
-        """The path's constraint-key signature: ``((term, taken), ...)``.
-
-        Matches :attr:`repro.concolic.explorer.PathResult.signature`, so
-        a triage pass in another process (or a later ``--resume`` run)
-        can re-explore the instruction and locate this exact path again.
-        Empty when neither a live path nor a replayed record carries one.
-        """
-        if self.path is not None:
-            return tuple(
-                (str(c.term), bool(c.taken)) for c in self.path.constraints
-            )
-        return self._path_signature or ()
-
     def to_record(self) -> dict:
-        """The journaled verdict: everything the aggregate reports —
-        including defect classification — need, nothing process-local
-        (no live paths, heaps or simulators).  The exit condition,
-        outcome kind and operand shape are exactly the facts
-        ``repro.difftest.defects.classify`` dispatches on; dropping
-        them would silently demote differences to *unclassified* after
-        a worker-pipe or journal round-trip.  The path signature is the
-        triage candidate payload: it lets the parent process relocate
-        the failing path without shipping live heaps over the pipe."""
-        return {
+        """The journaled verdict; the cell record carries the identity.
+        A record without ``path_signature`` recorded none."""
+        record = {
             "backend": self.backend,
             "status": self.status.value,
             "difference_kind": self.difference_kind,
             "detail": self.detail,
-            "interpreter_condition": (
-                None if self.interpreter_exit is None
-                else self.interpreter_exit.condition.value
-            ),
-            "outcome_kind": (
-                None if self.machine_outcome is None
-                else self.machine_outcome.kind.value
-            ),
-            "operand_shape": self.operand_shape(),
-            "path_signature": [
-                [term, taken] for term, taken in self.path_signature()
-            ],
+            "interpreter_condition": _value(self.interpreter_condition),
+            "outcome_kind": _value(self.outcome_kind),
+            "operand_shape": self.operand_shape,
         }
+        if self.path_signature is not None:
+            record["path_signature"] = [
+                [term, taken] for term, taken in self.path_signature
+            ]
+        return record
 
     @classmethod
     def from_record(cls, record: dict, *, instruction: str, kind: str,
                     compiler: str) -> "ComparisonResult":
         condition = record.get("interpreter_condition")
         outcome_kind = record.get("outcome_kind")
+        signature = record.get("path_signature")
         return cls(
             instruction=instruction,
             kind=kind,
@@ -201,19 +196,17 @@ class ComparisonResult:
             status=Status(record["status"]),
             difference_kind=record.get("difference_kind"),
             detail=record.get("detail", ""),
-            interpreter_exit=(
-                None if condition is None
-                else ExitResult(condition=ExitCondition(condition))
+            interpreter_condition=(
+                None if condition is None else ExitCondition(condition)
             ),
-            machine_outcome=(
-                None if outcome_kind is None
-                else MachineOutcome(kind=OutcomeKind(outcome_kind))
+            outcome_kind=(
+                None if outcome_kind is None else OutcomeKind(outcome_kind)
             ),
-            _operand_shape=record.get("operand_shape"),
-            _path_signature=tuple(
-                (term, bool(taken))
-                for term, taken in record.get("path_signature") or ()
-            ) or None,
+            operand_shape=record.get("operand_shape", "unknown"),
+            path_signature=(
+                None if signature is None
+                else tuple((term, bool(taken)) for term, taken in signature)
+            ),
         )
 
 
@@ -302,7 +295,10 @@ class DifferentialTester:
             compiler=self.compiler.name,
             backend=self.backend.name,
             status=Status.MATCH,
-            path=path,
+            operand_shape=operand_shape_of(path.constraints),
+            path_signature=tuple(
+                (str(c.term), bool(c.taken)) for c in path.constraints
+            ),
         )
         recorded = model is None and getattr(path, "output", None) is not None
         with guard("harness"):
@@ -320,7 +316,7 @@ class DifferentialTester:
                 path.model if model is None else model
             )
             interp_exit, output = self.world.interpret(frame, input_mark)
-        result.interpreter_exit = interp_exit
+        result.interpreter_condition = interp_exit.condition
 
         # --- expected failures are recorded, not compared ---------------
         # Invalid-frame / invalid-memory exits feed the concolic engine
@@ -383,7 +379,7 @@ class DifferentialTester:
                 f"{outcome.steps} steps: campaign deadline expired",
                 scope="campaign",
             )
-        result.machine_outcome = outcome
+        result.outcome_kind = outcome.kind
         machine_heap_writes = heap.writes_since(input_mark)
         machine_temps = self._read_machine_temps(len(input_temps))
 

@@ -140,25 +140,23 @@ class Distribution:
         )
 
 
-def paths_per_instruction(explorations) -> dict[str, Distribution]:
-    """Figure 5 data: path-count distribution per instruction kind."""
+def paths_per_instruction(cells) -> dict[str, Distribution]:
+    """Figure 5 data: path-count distribution per instruction kind, one
+    cell per instruction."""
     by_kind: dict[str, Distribution] = {}
-    for exploration in explorations:
-        dist = by_kind.setdefault(
-            exploration.kind, Distribution(exploration.kind)
-        )
-        dist.values.append(exploration.path_count)
+    for cell in cells:
+        dist = by_kind.setdefault(cell.kind, Distribution(cell.kind))
+        dist.values.append(cell.interpreter_paths)
     return by_kind
 
 
-def exploration_times(explorations) -> dict[str, Distribution]:
-    """Figure 6 data: concolic exploration seconds per kind."""
+def exploration_times(cells) -> dict[str, Distribution]:
+    """Figure 6 data: concolic exploration seconds per kind, one cell
+    per instruction."""
     by_kind: dict[str, Distribution] = {}
-    for exploration in explorations:
-        dist = by_kind.setdefault(
-            exploration.kind, Distribution(exploration.kind)
-        )
-        dist.values.append(exploration.elapsed_seconds)
+    for cell in cells:
+        dist = by_kind.setdefault(cell.kind, Distribution(cell.kind))
+        dist.values.append(cell.explore_seconds)
     return by_kind
 
 
@@ -207,13 +205,12 @@ def retried_cells(reports) -> list[tuple]:
     operators cross-check these numbers against the Causes section's
     ``flaky(k_of_n)`` labels (see docs/TRIAGE.md).
     """
-    rows = []
-    for report in reports:
-        for result in report.results:
-            retries = getattr(result, "retries", 0)
-            if retries:
-                rows.append((result.instruction, result.compiler, retries))
-    return rows
+    return [
+        (result.instruction, result.compiler, result.retries)
+        for report in reports
+        for result in report.results
+        if result.retries
+    ]
 
 
 def format_retries(reports) -> str:

@@ -63,7 +63,7 @@ from repro.robustness.errors import (
     classify_crash,
     guard,
 )
-from repro.robustness.quarantine import Quarantine
+from repro.robustness.quarantine import Quarantine, QuarantineEntry
 
 BYTECODE_COMPILERS = (
     SimpleStackBasedCogit,
@@ -76,35 +76,127 @@ COMPILERS_BY_NAME = {
     cls.name: cls for cls in (NativeMethodCompiler,) + BYTECODE_COMPILERS
 }
 BACKENDS_BY_NAME = {cls.name: cls for cls in BACKENDS}
+#: Budget multiplier applied for the single quarantine retry.
+RETRY_SCALE = 0.5
 
 
 @dataclass
-class InstructionTestResult:
-    """All comparisons for one instruction on one compiler."""
+class CellResult:
+    """One (instruction, compiler) cell: its comparisons and counters.
+
+    The fields are the cell record's fields.  :meth:`to_record` and
+    :meth:`from_record` are the only code that knows the record format,
+    so a cell just executed and one read back from a worker pipe, the
+    journal or the result store are the same value, and every report is
+    built from it.
+    """
 
     instruction: str
     kind: str
     compiler: str
-    exploration: ExplorationResult
-    curated_path_count: int = 0
-    comparisons: list = field(default_factory=list)
+    interpreter_paths: int = 0
+    curated_paths: int = 0
+    explore_seconds: float = 0.0
     test_seconds: float = 0.0
     #: Reduced-budget retries the robustness layer spent on this cell
     #: (0 = clean first attempt); surfaced in the report summary so
     #: operators can cross-check flaky-confirmation counts.
     retries: int = 0
+    comparisons: list = field(default_factory=list)
+    #: Set when the reduced-budget retry crashed too (see :meth:`crashed`).
+    quarantined: QuarantineEntry | None = None
+    #: False when the campaign deadline cut the exploration short.  Not
+    #: part of the record: it only keeps such a cell out of the result
+    #: store (:attr:`storable`), which takes executed cells only.
+    exploration_complete: bool = field(default=True, compare=False,
+                                       repr=False)
+
+    @classmethod
+    def crashed(cls, spec, compiler_class, config, error: CampaignError,
+                attempts: int = 2) -> "CellResult":
+        """The visible record of a quarantined cell: one CRASHED
+        comparison over the config's backends, and its quarantine
+        entry.  *attempts* is 1 for a cell charged for the death or
+        preemption of the worker that ran it."""
+        backend = "+".join(
+            getattr(backend, "name", str(backend))
+            for backend in config.backends
+        )
+        identity = dict(instruction=spec.name, kind=spec.kind,
+                        compiler=compiler_class.name)
+        return cls(
+            **identity,
+            retries=1,  # the reduced-budget retry ran and also failed
+            comparisons=[ComparisonResult(
+                **identity, backend=backend, status=Status.CRASHED,
+                difference_kind=error.error_class, detail=str(error),
+                path_signature=(),
+            )],
+            quarantined=QuarantineEntry.from_error(
+                error, **identity, backend=backend, attempts=attempts
+            ),
+        )
 
     @property
     def differing_paths(self) -> int:
-        """Paths that differ on at least one backend."""
-        by_path: dict[int, bool] = {}
-        for comparison in self.comparisons:
-            key = id(comparison.path)
-            by_path[key] = by_path.get(key, False) or comparison.is_difference
-        return sum(1 for differs in by_path.values() if differs)
+        """Paths that differ on at least one backend: paths are unique
+        by signature within an exploration."""
+        return len({c.path_signature for c in self.differences()})
+
+    @property
+    def storable(self) -> bool:
+        """A clean first attempt over a complete exploration: the only
+        cells the cross-run result store admits.  Quarantines, retried
+        cells and budget-truncated explorations always re-run."""
+        return self.retries == 0 and self.exploration_complete
 
     def differences(self) -> list:
         return [c for c in self.comparisons if c.is_difference]
+
+    def to_record(self, key: str) -> dict:
+        """The cell record, as the journal, the result store and the
+        worker pipe carry it under *key*."""
+        return {
+            "key": key,
+            "instruction": self.instruction,
+            "kind": self.kind,
+            "compiler": self.compiler,
+            "interpreter_paths": self.interpreter_paths,
+            "curated_paths": self.curated_paths,
+            "differing_paths": self.differing_paths,
+            "explore_seconds": self.explore_seconds,
+            "test_seconds": self.test_seconds,
+            "retries": self.retries,
+            "comparisons": [
+                comparison.to_record() for comparison in self.comparisons
+            ],
+            "quarantined": (
+                None if self.quarantined is None
+                else self.quarantined.to_dict()
+            ),
+        }
+
+    @classmethod
+    def from_record(cls, record: dict) -> "CellResult":
+        identity = dict(instruction=record["instruction"],
+                        kind=record["kind"], compiler=record["compiler"])
+        quarantined = record.get("quarantined")
+        return cls(
+            **identity,
+            interpreter_paths=record["interpreter_paths"],
+            curated_paths=record["curated_paths"],
+            explore_seconds=record.get("explore_seconds", 0.0),
+            test_seconds=record.get("test_seconds", 0.0),
+            retries=record.get("retries", 0),
+            comparisons=[
+                ComparisonResult.from_record(entry, **identity)
+                for entry in record["comparisons"]
+            ],
+            quarantined=(
+                None if not quarantined
+                else QuarantineEntry.from_dict(quarantined)
+            ),
+        )
 
 
 @dataclass
@@ -173,8 +265,6 @@ class CampaignConfig:
     worker_cpu_seconds: int | None = None
     #: Re-raise the first cell crash instead of quarantining (debugging).
     fail_fast: bool = False
-    #: Budget multiplier applied for the single quarantine retry.
-    retry_scale: float = 0.5
     #: Active mutant ids from the semantic mutation registry
     #: (``campaign --mutant`` / ``repro mutate``; see docs/MUTATION.md).
     #: Part of the config so the mutated semantics cross the fork
@@ -204,14 +294,13 @@ class CampaignConfig:
         the retry would "fix" a seeded defect by accident (see
         tests/mutation/test_retry_semantics.py).
         """
-        scale = self.retry_scale
         return replace(
             self,
             max_paths_per_instruction=max(
-                1, int(self.max_paths_per_instruction * scale)
+                1, int(self.max_paths_per_instruction * RETRY_SCALE)
             ),
-            max_iterations=max(1, int(self.max_iterations * scale)),
-            max_sim_steps=max(256, int(self.max_sim_steps * scale)),
+            max_iterations=max(1, int(self.max_iterations * RETRY_SCALE)),
+            max_sim_steps=max(256, int(self.max_sim_steps * RETRY_SCALE)),
         )
 
 
@@ -235,7 +324,7 @@ def test_instruction(
     exploration: ExplorationResult | None = None,
     deadline=None,
     world: VMWorld | None = None,
-) -> InstructionTestResult:
+) -> CellResult:
     """Explore (or reuse an exploration) and differentially test.
 
     Exploration and every backend run in *world*, the instruction's VM
@@ -255,19 +344,21 @@ def test_instruction(
 
 
 def _test_instruction_activated(spec, compiler_class, config, exploration,
-                                deadline, world) -> InstructionTestResult:
+                                deadline, world) -> CellResult:
     if world is None:
         with guard("harness"):
             world = VMWorld(spec)
     if exploration is None:
         exploration = explore_instruction(spec, config, deadline, world)
     curated = curate_paths(exploration.paths)
-    result = InstructionTestResult(
+    result = CellResult(
         instruction=spec.name,
         kind=spec.kind,
         compiler=compiler_class.name,
-        exploration=exploration,
-        curated_path_count=len(curated),
+        interpreter_paths=exploration.path_count,
+        curated_paths=len(curated),
+        explore_seconds=exploration.elapsed_seconds,
+        exploration_complete=not exploration.budget_exhausted,
     )
     start = time.perf_counter()
     for backend_class in config.backends:
@@ -321,19 +412,24 @@ def run_from_data(instruction: str, compiler: str, backend: str, model,
 def spec_named(name: str):
     """Instruction name -> spec: the name's prefix decides the kind.
 
-    ``stitch:`` names encode operand bytes and round-trip.  A curated
-    sequence's ``seq:`` name drops jump operands (``longJump``), so the
-    curated corpus is looked up before the name is re-encoded.  An
-    unknown name raises :class:`~repro.errors.BytecodeError` (a
-    ``KeyError`` for an unknown primitive).
+    ``stitch:`` names encode operand bytes and round-trip.  A ``seq:``
+    name drops operand bytes (``longJump``, ``pushIntegerByte``), so
+    the planned sequence corpus is looked up before the name is
+    re-encoded.  An unknown name raises
+    :class:`~repro.errors.BytecodeError` (a ``KeyError`` for an unknown
+    primitive).
     """
-    from repro.concolic.sequences import interesting_sequences, sequence_spec
+    from repro.concolic.sequences import (
+        generate_pair_sequences,
+        interesting_sequences,
+        sequence_spec,
+    )
     from repro.stitch.spec import stitched_spec_named
 
     if name.startswith("stitch:"):
         return stitched_spec_named(name)
     if name.startswith("seq:"):
-        for spec in interesting_sequences():
+        for spec in interesting_sequences() + generate_pair_sequences():
             if spec.name == name:
                 return spec
         return sequence_spec(*name[len("seq:"):].split("+"))
@@ -487,50 +583,11 @@ class CampaignResult(list):
         self.journal_replay = None
 
 
-@dataclass
-class JournaledExploration:
-    """Exploration counters rebuilt from a cell record."""
-
-    instruction: str
-    kind: str
-    path_count: int
-    elapsed_seconds: float = 0.0
-
-
-@dataclass
-class ResumedCellResult:
-    """An :class:`InstructionTestResult` stand-in rebuilt from its
-    cell record (run, journal or store): same counters and comparison
-    verdicts, no live paths."""
-
-    instruction: str
-    kind: str
-    compiler: str
-    exploration: JournaledExploration
-    curated_path_count: int
-    comparisons: list
-    test_seconds: float
-    differing_path_count: int
-    retries: int = 0
-
-    @property
-    def differing_paths(self) -> int:
-        return self.differing_path_count
-
-    def differences(self) -> list:
-        return [c for c in self.comparisons if c.is_difference]
-
-
-def _backend_scope(config: CampaignConfig) -> str:
-    return "+".join(
-        getattr(backend, "name", str(backend)) for backend in config.backends
-    )
-
-
 def execute_cell(config: CampaignConfig, deadline, spec, compiler_class,
-                 explorations: ExplorationCache):
-    """Run one cell with crash isolation: (result, None) on success,
-    (None, CampaignError) after the reduced-budget retry also failed.
+                 explorations: ExplorationCache) -> CellResult:
+    """Run one cell with crash isolation: the executed cell, or, after
+    the reduced-budget retry also failed, its quarantined
+    :meth:`CellResult.crashed` stand-in.
 
     This is the cell executor of :func:`repro.parallel.worker.serve_shard`,
     which runs in the main process at ``-j 1`` and in each worker
@@ -557,7 +614,8 @@ def execute_cell(config: CampaignConfig, deadline, spec, compiler_class,
 
 
 def _execute_cell_attempts(config: CampaignConfig, deadline, spec,
-                           compiler_class, explorations: ExplorationCache):
+                           compiler_class,
+                           explorations: ExplorationCache) -> CellResult:
     error = None
     for attempt, cfg in enumerate((config, config.reduced())):
         deadline.check(f"cell {spec.name}/{compiler_class.name}")
@@ -582,7 +640,7 @@ def _execute_cell_attempts(config: CampaignConfig, deadline, spec,
                 spec, compiler_class, cfg, exploration, deadline, world
             )
             result.retries = attempt
-            return result, None
+            return result
         except BudgetExhausted as exc:
             if exc.scope == "campaign":
                 raise
@@ -593,80 +651,7 @@ def _execute_cell_attempts(config: CampaignConfig, deadline, spec,
             error = classify_crash(exc, "harness")
         if config.fail_fast:
             raise error
-    return None, error
-
-
-def _crashed_result(spec, compiler_class, config,
-                    error: CampaignError) -> InstructionTestResult:
-    """The visible record of a quarantined cell: one CRASHED comparison."""
-    result = InstructionTestResult(
-        instruction=spec.name,
-        kind=spec.kind,
-        compiler=compiler_class.name,
-        exploration=ExplorationResult(spec.name, spec.kind),
-        retries=1,  # the reduced-budget retry ran and also failed
-    )
-    result.comparisons.append(
-        ComparisonResult(
-            instruction=spec.name,
-            kind=spec.kind,
-            compiler=compiler_class.name,
-            backend=_backend_scope(config),
-            status=Status.CRASHED,
-            difference_kind=error.error_class,
-            detail=str(error),
-        )
-    )
-    return result
-
-
-def _serialize_cell(key: str, result, quarantine_entry=None) -> dict:
-    return {
-        "key": key,
-        "instruction": result.instruction,
-        "kind": result.kind,
-        "compiler": result.compiler,
-        "interpreter_paths": result.exploration.path_count,
-        "curated_paths": result.curated_path_count,
-        "differing_paths": result.differing_paths,
-        "explore_seconds": result.exploration.elapsed_seconds,
-        "test_seconds": result.test_seconds,
-        "retries": getattr(result, "retries", 0),
-        "comparisons": [
-            comparison.to_record() for comparison in result.comparisons
-        ],
-        "quarantined": (
-            quarantine_entry.to_dict() if quarantine_entry is not None else None
-        ),
-    }
-
-
-def _rebuild_cell(record: dict) -> ResumedCellResult:
-    comparisons = [
-        ComparisonResult.from_record(
-            entry,
-            instruction=record["instruction"],
-            kind=record["kind"],
-            compiler=record["compiler"],
-        )
-        for entry in record["comparisons"]
-    ]
-    return ResumedCellResult(
-        instruction=record["instruction"],
-        kind=record["kind"],
-        compiler=record["compiler"],
-        exploration=JournaledExploration(
-            instruction=record["instruction"],
-            kind=record["kind"],
-            path_count=record["interpreter_paths"],
-            elapsed_seconds=record.get("explore_seconds", 0.0),
-        ),
-        curated_path_count=record["curated_paths"],
-        comparisons=comparisons,
-        test_seconds=record.get("test_seconds", 0.0),
-        differing_path_count=record["differing_paths"],
-        retries=record.get("retries", 0),
-    )
+    return CellResult.crashed(spec, compiler_class, config, error)
 
 
 def _run_rows(config: CampaignConfig, rows: list[ExperimentRow], *,
@@ -838,10 +823,10 @@ def run_campaign(config: CampaignConfig | None = None,
                      cache_dir=cache_dir)
 
 
-def _accumulate(report: CompilerReport, result: InstructionTestResult) -> None:
+def _accumulate(report: CompilerReport, result: CellResult) -> None:
     report.tested_instructions += 1
-    report.interpreter_paths += result.exploration.path_count
-    report.curated_paths += result.curated_path_count
+    report.interpreter_paths += result.interpreter_paths
+    report.curated_paths += result.curated_paths
     report.differing_paths += result.differing_paths
     report.results.append(result)
 

@@ -8,22 +8,22 @@ cache state, so aggregate counts, report row ordering and the
 quarantine section are byte-identical across them (asserted by
 ``tests/parallel/test_determinism.py``).
 
-Rebuilt cells preserve the full serialized payload — including the
-per-cell retry counts, exploration and test times, and the triage
-candidate data (path signatures, exit pairs) that ``--triage``
-consumes after the merge.
+Each record is read back as the cell it was written from
+(:meth:`~repro.difftest.runner.CellResult.from_record`): retry counts,
+exploration and test times, quarantine entry, and the triage candidate
+data (path signatures, exit pairs) that ``--triage`` consumes after
+the merge.
 """
 
 from __future__ import annotations
 
 from repro.difftest.runner import (
     CampaignResult,
+    CellResult,
     CompilerReport,
     _accumulate,
-    _rebuild_cell,
 )
 from repro.robustness.checkpoint import cell_key
-from repro.robustness.quarantine import QuarantineEntry
 
 
 def merge_records(rows, records: dict,
@@ -42,10 +42,9 @@ def merge_records(rows, records: dict,
             record = records.get(key)
             if record is None:
                 continue
-            _accumulate(report, _rebuild_cell(record))
-            if record.get("quarantined"):
-                result.quarantine.add(
-                    QuarantineEntry.from_dict(record["quarantined"])
-                )
+            cell = CellResult.from_record(record)
+            _accumulate(report, cell)
+            if cell.quarantined is not None:
+                result.quarantine.add(cell.quarantined)
         result.append(report)
     return result

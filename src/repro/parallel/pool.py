@@ -93,7 +93,6 @@ from repro.robustness.errors import (
     WorkerCrash,
     WorkerResourceExceeded,
 )
-from repro.robustness.quarantine import QuarantineEntry
 from repro.robustness.supervise import RespawnBackoff, effective_cell_timeout
 
 
@@ -258,11 +257,7 @@ def _charge_lost_cell(entry: _Worker, rows, config, records: dict,
                       journal, pending: deque, error=None) -> None:
     """A worker died (or was preempted) mid-shard: quarantine the
     in-flight cell, re-queue the rest of its shard."""
-    from repro.difftest.runner import (
-        _backend_scope,
-        _crashed_result,
-        _serialize_cell,
-    )
+    from repro.difftest.runner import CellResult
 
     shard = entry.current
     victim = next(
@@ -274,21 +269,12 @@ def _charge_lost_cell(entry: _Worker, rows, config, records: dict,
         # nothing to charge, nothing to re-run.
         return
     row = rows[victim.row_index]
-    spec = row.specs[victim.spec_index]
     if error is None:
         error = _death_error(entry, victim)
-    quarantine_entry = QuarantineEntry.from_error(
-        error,
-        instruction=spec.name,
-        kind=spec.kind,
-        compiler=row.compiler_class.name,
-        backend=_backend_scope(config),
+    record = CellResult.crashed(
+        row.specs[victim.spec_index], row.compiler_class, config, error,
         attempts=1,
-    )
-    record = _serialize_cell(
-        victim.key, _crashed_result(spec, row.compiler_class, config, error),
-        quarantine_entry,
-    )
+    ).to_record(victim.key)
     records[victim.key] = record
     if journal is not None:
         journal.append(record)

@@ -2,11 +2,12 @@
 
 :func:`serve_shard` is the one loop that runs campaign cells: for each
 cell of a shard it calls the shared
-:func:`~repro.difftest.runner.execute_cell`, quarantines a crash,
-serializes the cell record, appends it to the journal (and a clean
-cell to the result store) and sends it on.  At ``-j 1`` the parent
-calls it in process with its own message handler as ``send``; at
-``-j N`` each worker calls it with its pipe's ``conn.send``.
+:func:`~repro.difftest.runner.execute_cell`, which returns the cell
+(quarantined when it kept crashing), takes the cell's record, appends
+it to the journal (and a clean cell to the result store) and sends it
+on.  At ``-j 1`` the parent calls it in process with its own message
+handler as ``send``; at ``-j N`` each worker calls it with its pipe's
+``conn.send``.
 
 A worker owns a full OS process, so `guard()`'s in-process crash
 isolation is upgraded to real process isolation: a segfault,
@@ -81,16 +82,10 @@ from repro.concolic.solver.incremental import (
     default_cache,
     record_solver_gauges,
 )
-from repro.difftest.runner import (
-    _crashed_result,
-    _backend_scope,
-    _serialize_cell,
-    execute_cell,
-)
+from repro.difftest.runner import execute_cell
 from repro.robustness.budgets import Deadline
 from repro.robustness.checkpoint import CampaignJournal
 from repro.robustness.errors import BudgetExhausted, CampaignError
-from repro.robustness.quarantine import QuarantineEntry
 from repro.robustness.supervise import apply_worker_rlimits
 
 
@@ -173,29 +168,13 @@ def serve_shard(send, rows, config, deadline, journal, store, shard,
     before = store.stats.stored if store is not None else 0
     for cell in shard.cells:
         row = rows[cell.row_index]
-        spec = row.specs[cell.spec_index]
-        compiler_class = row.compiler_class
         send(("cell_start", cell.key))
-        result, error = execute_cell(config, deadline, spec,
-                                     compiler_class, cache)
-        entry = None
-        if error is not None:
-            entry = QuarantineEntry.from_error(
-                error,
-                instruction=spec.name,
-                kind=spec.kind,
-                compiler=compiler_class.name,
-                backend=_backend_scope(config),
-            )
-            result = _crashed_result(spec, compiler_class, config, error)
-        record = _serialize_cell(cell.key, result, entry)
+        result = execute_cell(config, deadline, row.specs[cell.spec_index],
+                              row.compiler_class, cache)
+        record = result.to_record(cell.key)
         if journal is not None:
             journal.append(record)
-        if (store is not None and error is None and result.retries == 0
-                and not result.exploration.budget_exhausted):
-            # Only clean first-attempt cells with a complete exploration
-            # enter the cross-run store; quarantines, retried cells and
-            # budget-truncated explorations always re-run.
+        if store is not None and result.storable:
             fingerprint = fingerprints.get(cell.key)
             if fingerprint:
                 store.put(fingerprint, record)

@@ -34,6 +34,7 @@ re-confirming and re-shrinking.
 Operator guide: ``docs/TRIAGE.md``.  Design notes: ``DESIGN.md`` §14.
 """
 
+from repro.difftest.harness import exit_pair
 from repro.triage.engine import (
     CrashCause,
     TriageCause,
@@ -42,7 +43,7 @@ from repro.triage.engine import (
     run_triage,
 )
 from repro.triage.report import format_causes
-from repro.triage.signature import DefectSignature, exit_pair
+from repro.triage.signature import DefectSignature
 
 __all__ = [
     "CrashCause",

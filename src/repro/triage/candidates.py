@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.difftest.defects import classify
-from repro.triage.signature import DefectSignature, exit_pair
+from repro.triage.signature import DefectSignature
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,9 @@ class DivergenceCandidate:
     operand_shape: str
     detail: str
     #: ``((term, taken), ...)`` — enough to relocate the failing path
-    #: in a deterministic re-exploration of the instruction.
-    path_signature: tuple
+    #: in a deterministic re-exploration of the instruction.  ``()`` is
+    #: the empty path condition; None: the record carried no signature.
+    path_signature: tuple | None
 
     @property
     def signature(self) -> DefectSignature:
@@ -75,8 +76,6 @@ class CrashCandidate:
 def divergence_candidate(comparison) -> DivergenceCandidate:
     """Candidate for one differing :class:`ComparisonResult`."""
     defect = classify(comparison)
-    interp = comparison.interpreter_exit
-    outcome = comparison.machine_outcome
     return DivergenceCandidate(
         kind=comparison.kind,
         instruction=comparison.instruction,
@@ -85,13 +84,10 @@ def divergence_candidate(comparison) -> DivergenceCandidate:
         category=defect.category.value,
         cause=defect.cause,
         difference_kind=comparison.difference_kind or "",
-        exit_pair=exit_pair(
-            None if interp is None else interp.condition.value,
-            None if outcome is None else outcome.kind.value,
-        ),
-        operand_shape=comparison.operand_shape(),
+        exit_pair=comparison.exit_pair,
+        operand_shape=comparison.operand_shape,
         detail=comparison.detail,
-        path_signature=comparison.path_signature(),
+        path_signature=comparison.path_signature,
     )
 
 

@@ -44,8 +44,14 @@ def _literal(value, indent: int = 0) -> str:
     return repr(value)
 
 
+#: Longest slug a reproducer file name keeps: a stitched method's cause
+#: repeats its long name, and file names are bounded (255 bytes).  The
+#: digest after the slug keeps cut names unique.
+MAX_SLUG = 120
+
+
 def reproducer_filename(signature) -> str:
-    return f"{signature.slug()}-{signature.digest}.py"
+    return f"{signature.slug()[:MAX_SLUG]}-{signature.digest}.py"
 
 
 def reproducer_source(cause, config) -> str:

@@ -31,7 +31,6 @@ from repro.difftest.runner import (
 )
 from repro.robustness.budgets import Deadline
 from repro.robustness.errors import CampaignError, classify_crash, guard
-from repro.triage.signature import exit_pair
 
 
 def matches(candidate, comparison) -> bool:
@@ -47,16 +46,10 @@ def matches(candidate, comparison) -> bool:
     if (comparison.difference_kind or "") != candidate.difference_kind:
         return False
     defect = classify(comparison)
-    interp = comparison.interpreter_exit
-    outcome = comparison.machine_outcome
-    pair = exit_pair(
-        None if interp is None else interp.condition.value,
-        None if outcome is None else outcome.kind.value,
-    )
     return (
         defect.category.value == candidate.category
         and defect.cause == candidate.cause
-        and pair == candidate.exit_pair
+        and comparison.exit_pair == candidate.exit_pair
     )
 
 
@@ -73,16 +66,17 @@ class TriageLab:
     # path relocation
 
     def explore(self, instruction: str):
-        """Cached full-budget exploration; None if exploring crashes."""
-        spec = spec_named(instruction)
-        exploration = self._explorations.get(spec)
-        if exploration is None:
-            try:
-                with guard("explorer"):
+        """Cached full-budget exploration; None if the name does not
+        resolve or exploring crashes."""
+        try:
+            with guard("explorer"):
+                spec = spec_named(instruction)
+                exploration = self._explorations.get(spec)
+                if exploration is None:
                     exploration = explore_instruction(spec, self.config)
-            except CampaignError:
-                return None
-            self._explorations.put(spec, exploration)
+                    self._explorations.put(spec, exploration)
+        except CampaignError:
+            return None
         return exploration
 
     def locate(self, candidate) -> PathResult | None:
@@ -90,16 +84,16 @@ class TriageLab:
 
         Exploration is deterministic, so the relocated path carries the
         same input model the campaign tested.  ``None`` when the record
-        predates path signatures or the path no longer appears.
+        carries no path signature or the path no longer appears; an
+        empty signature is the empty path condition, and relocates.
         """
-        wanted = tuple(tuple(entry) for entry in candidate.path_signature)
-        if not wanted:
+        if candidate.path_signature is None:
             return None
         exploration = self.explore(candidate.instruction)
         if exploration is None:
             return None
         for path in curate_paths(exploration.paths):
-            if path.signature == wanted:
+            if path.signature == candidate.path_signature:
                 return path
         return None
 
@@ -135,7 +129,8 @@ class TriageLab:
     def run_cell(self, candidate):
         """One fresh full-cell execution (crash confirmation).
 
-        Returns the :class:`CampaignError` the cell died with, or
+        Returns the cell's quarantine entry, or the error it raised,
+        when it crashed (confirmation compares their ``error_class``);
         ``None`` if it completed cleanly this time.
         """
         try:
@@ -144,12 +139,11 @@ class TriageLab:
         except Exception:
             return None
         try:
-            _result, error = execute_cell(
+            return execute_cell(
                 self.config, Deadline(None), spec, compiler_class,
                 ExplorationCache(),
-            )
+            ).quarantined
         except CampaignError as exc:
-            error = exc
+            return exc
         except Exception as exc:  # pragma: no cover - guards net these
-            error = classify_crash(exc, "harness")
-        return error
+            return classify_crash(exc, "harness")

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from repro.difftest.defects import classify
 from repro.difftest.runner import run_from_data
-from repro.triage.signature import exit_pair
 
 
 class RecordedConstraint:
@@ -102,17 +101,11 @@ def _replay_activated(expect: dict, model_data: dict, constraints, *,
     reproduced = False
     if comparison.is_difference:
         defect = classify(comparison)
-        interp = comparison.interpreter_exit
-        outcome = comparison.machine_outcome
-        pair = exit_pair(
-            None if interp is None else interp.condition.value,
-            None if outcome is None else outcome.kind.value,
-        )
         reproduced = (
             defect.category.value == expect["category"]
             and defect.cause == expect["cause"]
             and (comparison.difference_kind or "") == expect["difference_kind"]
-            and pair == expect["exit_pair"]
+            and comparison.exit_pair == expect["exit_pair"]
         )
     return ReplayVerdict(
         reproduced=reproduced, expected=expect, comparison=comparison

@@ -66,7 +66,9 @@ def format_causes(triage) -> str:
             if len(message) > 100:
                 message = message[:97] + "..."
             lines.append(f"      exemplar: {message}")
-    if triage.repro_dir is not None:
+    if triage.repro_dir is not None and any(
+        cause.repro_file for cause in triage.causes
+    ):
         lines.append(f"  Reproducers in: {triage.repro_dir}")
     # Note: resume bookkeeping (reused_causes) is deliberately NOT part
     # of this section — the Causes output of a resumed run must stay

@@ -24,17 +24,6 @@ import re
 from dataclasses import dataclass
 
 
-def exit_pair(interpreter_condition: str | None,
-              outcome_kind: str | None) -> str:
-    """The interpreter-exit × machine-outcome pair, e.g. ``success x -``.
-
-    ``-`` stands for "no exit recorded on that side": the machine side
-    is ``-`` when the pipeline stopped before a machine outcome existed
-    (compile refusal, simulation error).
-    """
-    return f"{interpreter_condition or '-'} x {outcome_kind or '-'}"
-
-
 @dataclass(frozen=True)
 class DefectSignature:
     """Identity of one root cause across paths, back-ends and runs."""
@@ -48,7 +37,8 @@ class DefectSignature:
     #: Classification cause key (``missing-getter:R10``), or
     #: ``stage:ErrorClass`` for crashes.
     cause: str
-    #: :func:`exit_pair` of the exemplar divergence.
+    #: :func:`repro.difftest.harness.exit_pair` of the exemplar
+    #: divergence.
     exit_pair: str
     #: harness difference kind, or the error class for crashes.
     difference_kind: str

@@ -106,22 +106,18 @@ class TestReports:
         assert "behavioural difference" in text
 
     def test_paths_per_instruction_partitions_by_kind(self, small_campaign):
-        explorations = [
-            result.exploration
-            for report in small_campaign
-            for result in report.results
+        cells = [
+            result for report in small_campaign for result in report.results
         ]
-        distributions = paths_per_instruction(explorations)
+        distributions = paths_per_instruction(cells)
         assert set(distributions) == {"bytecode", "native"}
         assert distributions["native"].values
 
     def test_exploration_times_non_negative(self, small_campaign):
-        explorations = [
-            result.exploration
-            for report in small_campaign
-            for result in report.results
+        cells = [
+            result for report in small_campaign for result in report.results
         ]
-        for dist in exploration_times(explorations).values():
+        for dist in exploration_times(cells).values():
             assert all(value >= 0 for value in dist.values)
 
 
@@ -182,12 +178,16 @@ class TestRetrySection:
         assert "primitiveAdd" not in text
 
     def test_results_without_retry_field_are_tolerated(self):
-        """Pre-PR-5 journal replays rebuild results without the field."""
+        """Pre-PR-5 journal records carry no retry count: they read back
+        as clean first attempts."""
         from types import SimpleNamespace
 
-        reports = [SimpleNamespace(results=[
-            SimpleNamespace(instruction="pushTrue", compiler="native")
-        ])]
+        from repro.difftest.runner import CellResult
+
+        record = CellResult(instruction="pushTrue", kind="bytecode",
+                            compiler="native").to_record("key")
+        del record["retries"]
+        reports = [SimpleNamespace(results=[CellResult.from_record(record)])]
         assert retried_cells(reports) == []
 
 

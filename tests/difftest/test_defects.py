@@ -13,8 +13,8 @@ from repro.difftest.defects import (
     classify,
     group_causes,
 )
-from repro.difftest.harness import ComparisonResult, Status
-from repro.interpreter.exits import ExitResult
+from repro.difftest.harness import ComparisonResult, Status, operand_shape_of
+from repro.interpreter.exits import ExitCondition, ExitResult
 from repro.jit.machine.simulator import MachineOutcome, OutcomeKind
 from repro.memory.bootstrap import bootstrap_memory
 
@@ -52,10 +52,12 @@ def comparison(kind, difference_kind, interp=None, machine=None, detail="",
         backend="x86",
         status=Status.DIFFERENCE,
         difference_kind=difference_kind,
-        interpreter_exit=interp,
-        machine_outcome=machine,
+        interpreter_condition=None if interp is None else interp.condition,
+        outcome_kind=None if machine is None else machine.kind,
         detail=detail,
-        path=path,
+        operand_shape=(
+            "unknown" if path is None else operand_shape_of(path.constraints)
+        ),
     )
 
 
@@ -210,22 +212,34 @@ class TestRecordRoundTrip:
             backend="x86",
             status=Status.DIFFERENCE,
             difference_kind="exit_mismatch",
-            interpreter_exit=ExitResult.success(),
-            machine_outcome=MachineOutcome(
-                kind=OutcomeKind.TRAMPOLINE, trampoline="ceSend"
-            ),
+            interpreter_condition=ExitCondition.SUCCESS,
+            outcome_kind=OutcomeKind.TRAMPOLINE,
             detail="interp success vs trampoline",
+            operand_shape="int",
+            path_signature=(),
+        )
+
+    def replay(self, record):
+        return ComparisonResult.from_record(
+            record, instruction="bytecodePrimAdd", kind="bytecode",
+            compiler="StackToRegisterCogit",
         )
 
     def test_classify_equal_after_round_trip(self):
         original = self._difference()
-        replayed = ComparisonResult.from_record(
-            original.to_record(),
-            instruction=original.instruction,
-            kind=original.kind,
-            compiler=original.compiler,
-        )
+        replayed = self.replay(original.to_record())
+        assert replayed == original
         assert classify(replayed) == classify(original)
+
+    def test_empty_path_condition_is_a_signature(self):
+        """``()`` is the empty path condition, and survives the record;
+        only a record without the key carries no signature."""
+        record = self._difference().to_record()
+        assert record["path_signature"] == []
+        assert self.replay(record).path_signature == ()
+        del record["path_signature"]
+        assert self.replay(record).path_signature is None
+        assert "path_signature" not in self.replay(record).to_record()
 
     def test_pre_existing_records_without_exit_fields_still_load(self):
         """Journals written before the exit fields existed must replay."""
@@ -235,11 +249,8 @@ class TestRecordRoundTrip:
             "difference_kind": "exit_mismatch",
             "detail": "old journal line",
         }
-        replayed = ComparisonResult.from_record(
-            legacy, instruction="bytecodePrimAdd", kind="bytecode",
-            compiler="StackToRegisterCogit",
-        )
+        replayed = self.replay(legacy)
         assert replayed.is_difference
-        assert replayed.interpreter_exit is None
-        assert replayed.machine_outcome is None
-        assert replayed.operand_shape() == "unknown"
+        assert replayed.exit_pair == "- x -"
+        assert replayed.operand_shape == "unknown"
+        assert replayed.path_signature is None

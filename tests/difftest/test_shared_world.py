@@ -18,7 +18,6 @@ from repro.difftest import harness
 from repro.difftest.runner import (
     BYTECODE_COMPILERS,
     CampaignConfig,
-    _serialize_cell,
     bytecode_specs,
     execute_cell,
     explore_instruction,
@@ -74,10 +73,10 @@ def shared_world_records(spec, compilers, exploration) -> list:
     cache.put(spec, exploration)
     records = []
     for compiler_class in compilers:
-        result, error = execute_cell(CONFIG, Deadline(None), spec,
-                                     compiler_class, cache)
-        assert error is None, error
-        records.append(comparable(_serialize_cell(compiler_class.name, result)))
+        result = execute_cell(CONFIG, Deadline(None), spec, compiler_class,
+                              cache)
+        assert result.quarantined is None, result.quarantined
+        records.append(comparable(result.to_record(compiler_class.name)))
     return records
 
 
@@ -94,7 +93,7 @@ def fresh_world_records(spec, compilers, exploration) -> list:
         result = parts[0]
         for part in parts[1:]:
             result.comparisons.extend(part.comparisons)
-        records.append(comparable(_serialize_cell(compiler_class.name, result)))
+        records.append(comparable(result.to_record(compiler_class.name)))
     return records
 
 

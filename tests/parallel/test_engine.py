@@ -31,9 +31,8 @@ def baseline():
     return run_campaign(CONFIG)
 
 
-def explorations(reports) -> list:
-    return [result.exploration for report in reports
-            for result in report.results]
+def cells(reports) -> list:
+    return [result for report in reports for result in report.results]
 
 
 def test_in_process_cells_run_through_the_shard_function(monkeypatch):
@@ -54,7 +53,7 @@ def test_in_process_cells_run_through_the_shard_function(monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_cell_records_keep_the_exploration_time(jobs):
     """Fig. 6 reads each cell's exploration time back from its record."""
-    times = exploration_times(explorations(run_campaign(CONFIG, jobs=jobs)))
+    times = exploration_times(cells(run_campaign(CONFIG, jobs=jobs)))
     assert times["native"].values
     assert min(times["native"].values) > 0.0
 

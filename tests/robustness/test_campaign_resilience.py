@@ -36,8 +36,8 @@ def cell_summaries(reports):
     for report in reports:
         for result in report.results:
             cells[(report.compiler, result.instruction)] = (
-                result.exploration.path_count,
-                result.curated_path_count,
+                result.interpreter_paths,
+                result.curated_paths,
                 result.differing_paths,
                 [(c.backend, c.status.value, c.difference_kind)
                  for c in result.comparisons],

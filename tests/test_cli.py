@@ -33,13 +33,32 @@ class TestResolveSpec:
         with pytest.raises(SystemExit, match="pushTru"):
             resolve_spec("seq:pushTru+popStackTop")
 
-    def test_every_curated_sequence_name_resolves(self):
-        # A sequence's name drops jump operands, so the curated
-        # sequence with a longJump cannot be re-encoded from its name.
-        from repro.concolic.sequences import interesting_sequences
+    def test_every_planned_name_resolves(self):
+        # A sequence's name drops operand bytes (longJump,
+        # pushIntegerByte), so a planned sequence cannot always be
+        # re-encoded from its name.
+        from dataclasses import replace
 
-        for spec in interesting_sequences():
-            assert resolve_spec(spec.name) == spec
+        from repro.difftest.runner import (
+            CampaignConfig,
+            campaign_rows,
+            sequence_campaign_rows,
+            stitched_campaign_rows,
+        )
+
+        config = CampaignConfig()
+        specs = {
+            spec.name: spec
+            for plan in (campaign_rows, sequence_campaign_rows,
+                         stitched_campaign_rows)
+            for row in plan(config)
+            for spec in row.specs
+        }
+        for name, spec in specs.items():
+            if hasattr(spec, "fragments"):
+                # A stitched name does not record its fragments.
+                spec = replace(spec, fragments=())
+            assert resolve_spec(name) == spec, name
 
 
 class TestOnlyValidation:

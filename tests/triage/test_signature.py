@@ -5,8 +5,9 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.difftest.harness import exit_pair
 from repro.triage.candidates import DivergenceCandidate, bucket_candidates
-from repro.triage.signature import DefectSignature, exit_pair
+from repro.triage.signature import DefectSignature
 
 SIGNATURE = DefectSignature(
     kind="native",
