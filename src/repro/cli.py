@@ -476,21 +476,15 @@ def cmd_list(args) -> int:
 
 def cmd_disasm(args) -> int:
     from repro.difftest.harness import DifferentialTester
-    from repro.jit.compiler import CompilationUnit
+    from repro.jit.machine.codecache import CodeCache
     from repro.jit.machine.disassembler import format_disassembly
 
     spec = resolve_spec(args.instruction)
     compiler_class = COMPILERS[args.compiler or default_compiler_for(spec)]
     backend = BACKENDS[args.backend[0]]()
-    tester = DifferentialTester(spec, backend, compiler_class)
-    unit = CompilationUnit(
-        method=tester.method,
-        bytecode=getattr(spec, "bytecode", None),
-        native=getattr(spec, "native", None),
-        sequence=tuple(getattr(spec, "sequence", ())),
-    )
-    compiled = tester.compiler.compile(unit)
-    print(format_disassembly(compiled.code_object, backend,
+    tester = DifferentialTester(spec, compiler_class, [backend])
+    lowered = tester.compiler.compile(tester.unit())
+    print(format_disassembly(CodeCache().install(lowered, backend), backend,
                              tester.trampolines))
     return 0
 

@@ -1,13 +1,14 @@
 """The differential execution harness.
 
-A :class:`DifferentialTester` checks one compiler on one back-end
+A :class:`DifferentialTester` checks one compiler on every back-end
 against the interpreter.  It owns only what differs per compiler and
-back-end: a code cache, a trampoline table (with the runtime service
-routines registered), a CPU simulator and the compiler.  The VM state
-it tests in (object memory, symbol table, synthesized method, solver
-context) is the instruction's :class:`~repro.concolic.explorer.VMWorld`,
-in which the campaign explores the instruction and then tests every
-compiler cell of its shard.
+back-end: the compiler, a trampoline table (with the runtime service
+routines registered), and a code cache and CPU simulator per back-end.
+The VM state it tests in (object memory, symbol table, synthesized
+method, solver context) is the instruction's
+:class:`~repro.concolic.explorer.VMWorld`, in which the campaign
+explores the instruction and then tests every compiler cell of its
+shard.
 
 For each concolic path the harness (paper Fig. 1, step 4):
 
@@ -19,12 +20,14 @@ For each concolic path the harness (paper Fig. 1, step 4):
 2. records an expected failure (invalid frame, invalid memory) without
    compiling anything;
 3. rewinds the world's heap to its base state, materializes the path's
-   model, compiles the instruction (input operand stack compiled in as
-   pushed literals, per paper Section 4.2), sets up the machine frame
-   per the compiler's convention (receiver/temps in the frame record
-   for byte-codes, receiver+arguments in registers for native methods)
-   and runs the simulator from the materialized input state;
-4. compares exits, values and heap effects with the reference.
+   model and compiles the instruction once, to one lowered micro-ISA
+   program (input operand stack compiled in as pushed literals, per
+   paper Section 4.2);
+4. per back-end, encodes that program, sets up the machine frame per
+   the compiler's convention (receiver/temps in the frame record for
+   byte-codes, receiver+arguments in registers for native methods),
+   runs the simulator from the materialized input state and compares
+   exits, values and heap effects with the reference.
 
 Exploration ran in the same world from the same base state, and
 allocation is deterministic, so inputs land at the addresses they had
@@ -36,7 +39,7 @@ reproducers build, bootstraps to the same base state.)
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro import perf
 from repro.concolic.explorer import PathResult, VMWorld
@@ -106,6 +109,18 @@ def operand_shape_of(constraints) -> str:
 
 def _value(member: enum.Enum | None) -> str | None:
     return None if member is None else member.value
+
+
+def _count_isa_agreement(results) -> None:
+    """Count a path that ran on several back-ends as agreeing when all
+    reached the same verdict (both counters at 0 too, for --profile)."""
+    ran = len(results) > 1
+    agree = ran and len({
+        (r.status, r.difference_kind, r.detail, r.outcome_kind)
+        for r in results
+    }) == 1
+    perf.incr("test.isa_agree", int(agree))
+    perf.incr("test.isa_disagree", int(ran and not agree))
 
 
 @dataclass
@@ -215,30 +230,30 @@ FRAME_WORDS = 1 + 16
 
 
 class DifferentialTester:
-    """Runs interpreter-vs-compiled comparisons for one instruction."""
+    """Runs interpreter-vs-compiled comparisons for one instruction and
+    compiler on each of *backends*."""
 
-    def __init__(self, spec, backend, compiler_class, *,
+    def __init__(self, spec, compiler_class, backends, *,
                  max_sim_steps: int = 20_000, deadline=None,
                  world=None) -> None:
         self.spec = spec
-        self.backend = backend
         self.max_sim_steps = max_sim_steps
         self.deadline = deadline
         #: The instruction's VM state: the shard's, or a private one.
         self.world = world if world is not None else VMWorld(spec)
         self.memory = self.world.memory
-        self.symbols = self.world.symbols
         self.method = self.world.method
         self.context = self.world.context
-        self.code_cache = CodeCache()
         self.trampolines = TrampolineTable()
         self._register_services()
-        self.simulator = MachineSimulator(
-            self.memory.heap, self.code_cache, self.trampolines
-        )
-        self.compiler = compiler_class(
-            self.memory, self.trampolines, self.code_cache, backend, self.symbols
-        )
+        self.compiler = compiler_class(self.memory, self.trampolines,
+                                       self.world.symbols)
+        #: ``(backend, simulator)`` pairs, each on its own code cache.
+        self.machines = [
+            (backend, MachineSimulator(self.memory.heap, CodeCache(),
+                                       self.trampolines))
+            for backend in backends
+        ]
 
     # ------------------------------------------------------------------
     # runtime service routines (Cogit's ceXxx helpers)
@@ -280,8 +295,24 @@ class DifferentialTester:
 
     # ------------------------------------------------------------------
 
-    def run_path(self, path: PathResult, model=None) -> ComparisonResult:
-        """Differentially execute one concolic path.
+    def unit(self, input_stack=()) -> CompilationUnit:
+        """This instruction's compilation unit, *input_stack* compiled
+        in as pushed literals."""
+        bytecode = getattr(self.spec, "bytecode", None)
+        return CompilationUnit(
+            method=self.method,
+            bytecode=bytecode,
+            # A byte-code's operand bytes follow it in the method.
+            operands=(() if bytecode is None
+                      else tuple(self.method.bytecodes[1:bytecode.size])),
+            native=getattr(self.spec, "native", None),
+            input_stack=tuple(input_stack),
+            sequence=tuple(getattr(self.spec, "sequence", ())),
+        )
+
+    def run_path(self, path: PathResult, model=None) -> list[ComparisonResult]:
+        """Differentially execute one concolic path on every back-end:
+        one :class:`ComparisonResult` per back-end, in their order.
 
         The reference is the exit and output exploration recorded for
         the path.  ``model`` overrides the path's own input model
@@ -289,11 +320,11 @@ class DifferentialTester:
         the same path condition through here); such a run, and a path
         with no recorded output, interprets its reference in the world.
         """
-        result = ComparisonResult(
+        verdict = ComparisonResult(
             instruction=self.spec.name,
             kind=self.spec.kind,
             compiler=self.compiler.name,
-            backend=self.backend.name,
+            backend="",
             status=Status.MATCH,
             operand_shape=operand_shape_of(path.constraints),
             path_signature=tuple(
@@ -316,77 +347,77 @@ class DifferentialTester:
                 path.model if model is None else model
             )
             interp_exit, output = self.world.interpret(frame, input_mark)
-        result.interpreter_condition = interp_exit.condition
+        verdict.interpreter_condition = interp_exit.condition
 
         # --- expected failures are recorded, not compared ---------------
         # Invalid-frame / invalid-memory exits feed the concolic engine
         # ("subsequent executions need extra elements") and are expected
         # failures in the test runner (paper Section 3.4).
         if self._expected_failure(interp_exit.condition):
-            result.status = Status.EXPECTED_FAILURE
-            return result
+            verdict.status = Status.EXPECTED_FAILURE
+            return self._per_backend(verdict)
         if recorded:
             _frame, input_mark, inputs = self._materialize(path.model)
         receiver, input_stack, input_temps = inputs
         heap = self.memory.heap
 
-        # --- compile ----------------------------------------------------
+        # --- compile once -----------------------------------------------
         heap.rewind(input_mark)  # undoes an interpreted reference
-        unit = CompilationUnit(
-            method=self.method,
-            bytecode=getattr(self.spec, "bytecode", None),
-            operands=self._instruction_operands(),
-            native=getattr(self.spec, "native", None),
-            input_stack=tuple(input_stack),
-            sequence=tuple(getattr(self.spec, "sequence", ())),
-        )
         try:
             with guard("compiler", expected=(CompilerError,)):
                 maybe_inject("compile", self.spec.name, self.compiler.name,
                              deadline=self.deadline)
-                compiled = self.compiler.compile(unit)
+                lowered = self.compiler.compile(self.unit(input_stack))
         except NotImplementedInCompiler as error:
-            result.status = Status.DIFFERENCE
-            result.difference_kind = "compile_missing"
-            result.detail = str(error)
-            return result
+            verdict.status = Status.DIFFERENCE
+            verdict.difference_kind = "compile_missing"
+            verdict.detail = str(error)
+            return self._per_backend(verdict)
         except CompilerError as error:
-            result.status = Status.CURATED
-            result.detail = str(error)
-            return result
+            verdict.status = Status.CURATED
+            verdict.detail = str(error)
+            return self._per_backend(verdict)
 
-        # --- machine execution -----------------------------------------
-        # Compilation may intern trampoline metadata but must not touch
-        # the heap; re-assert the input state for the machine run.
-        heap.rewind(input_mark)
-        try:
-            with guard("simulator", expected=(SimulationError,)):
-                maybe_inject("simulate", self.spec.name, self.compiler.name,
-                             deadline=self.deadline)
-                outcome, machine_stack = self._run_machine(
-                    compiled, receiver, input_temps
+        # --- per back-end: encode, run, compare -------------------------
+        results = self._per_backend(verdict)
+        for result, (backend, simulator) in zip(results, self.machines):
+            # Compilation must not touch the heap, but the previous
+            # back-end's run did; re-assert the input state.
+            heap.rewind(input_mark)
+            with guard("compiler"):
+                code = simulator.code_cache.install(lowered, backend)
+            try:
+                with guard("simulator", expected=(SimulationError,)):
+                    maybe_inject("simulate", self.spec.name,
+                                 self.compiler.name, deadline=self.deadline)
+                    outcome, machine_stack = self._run_machine(
+                        simulator, code.base_address, receiver, input_stack,
+                        input_temps,
+                    )
+            except SimulationError as error:
+                result.status = Status.DIFFERENCE
+                result.difference_kind = "simulation_error"
+                result.detail = str(error)
+                continue
+            if outcome.kind == OutcomeKind.BUDGET_EXHAUSTED:
+                # The campaign deadline expired mid-simulation; this is a
+                # budget event, not a behavioural verdict for this cell.
+                raise BudgetExhausted(
+                    f"simulation of {self.spec.name} stopped after "
+                    f"{outcome.steps} steps: campaign deadline expired",
+                    scope="campaign",
                 )
-        except SimulationError as error:
-            result.status = Status.DIFFERENCE
-            result.difference_kind = "simulation_error"
-            result.detail = str(error)
-            return result
-        if outcome.kind == OutcomeKind.BUDGET_EXHAUSTED:
-            # The campaign deadline expired mid-simulation; this is a
-            # budget event, not a behavioural verdict for this cell.
-            raise BudgetExhausted(
-                f"simulation of {self.spec.name} stopped after "
-                f"{outcome.steps} steps: campaign deadline expired",
-                scope="campaign",
-            )
-        result.outcome_kind = outcome.kind
-        machine_heap_writes = heap.writes_since(input_mark)
-        machine_temps = self._read_machine_temps(len(input_temps))
+            result.outcome_kind = outcome.kind
+            self._compare(result, interp_exit, output, outcome, machine_stack,
+                          self._read_machine_temps(simulator, len(input_temps)),
+                          heap.writes_since(input_mark))
+        _count_isa_agreement(results)
+        return results
 
-        # --- compare ----------------------------------------------------
-        self._compare(result, interp_exit, output, outcome, machine_stack,
-                      machine_temps, machine_heap_writes)
-        return result
+    def _per_backend(self, verdict: ComparisonResult) -> list:
+        """*verdict* copied to each back-end."""
+        return [replace(verdict, backend=backend.name)
+                for backend, _simulator in self.machines]
 
     def _materialize(self, model):
         """The world's input state for *model*: the frame, a checkpoint
@@ -411,15 +442,8 @@ class DifferentialTester:
 
     # ------------------------------------------------------------------
 
-    def _instruction_operands(self) -> tuple:
-        bytecode = getattr(self.spec, "bytecode", None)
-        if bytecode is None:
-            return ()
-        code = self.method.bytecodes
-        return tuple(code[1:bytecode.size])
-
-    def _run_machine(self, compiled, receiver: int, temps: list):
-        sim = self.simulator
+    def _run_machine(self, sim, entry: int, receiver: int, stack,
+                     temps: list):
         sim.reset()
         # Build the frame record at the top of the machine stack.
         frame_base = STACK_TOP - FRAME_WORDS * WORD_SIZE
@@ -436,7 +460,6 @@ class DifferentialTester:
             native = self.spec.native
             argc = native.argument_count
             # Receiver at stack depth argc, arguments above it.
-            stack = compiled.unit.input_stack
             values = list(stack[-(argc + 1):]) if argc + 1 <= len(stack) else (
                 [self.memory.nil_object] * (argc + 1 - len(stack)) + list(stack)
             )
@@ -444,7 +467,7 @@ class DifferentialTester:
             for index, reg in enumerate(("R1", "R2", "R3", "R4")):
                 if index + 1 < len(values):
                     sim.set(reg, values[index + 1])
-        outcome = sim.run(compiled.entry, max_steps=self.max_sim_steps,
+        outcome = sim.run(entry, max_steps=self.max_sim_steps,
                           deadline=self.deadline)
         final_sp = sim.get("SP")
         count = max(0, (operand_base - final_sp) // WORD_SIZE)
@@ -455,10 +478,10 @@ class DifferentialTester:
         machine_stack.reverse()  # bottom to top
         return outcome, machine_stack
 
-    def _read_machine_temps(self, count: int) -> list:
+    def _read_machine_temps(self, sim, count: int) -> list:
         frame_base = STACK_TOP - FRAME_WORDS * WORD_SIZE
         return [
-            self.simulator.read_word(frame_base + WORD_SIZE * (1 + index))
+            sim.read_word(frame_base + WORD_SIZE * (1 + index))
             for index in range(count)
         ]
 

@@ -361,23 +361,28 @@ def _test_instruction_activated(spec, compiler_class, config, exploration,
         exploration_complete=not exploration.budget_exhausted,
     )
     start = time.perf_counter()
-    for backend_class in config.backends:
-        with guard("harness"):
-            tester = DifferentialTester(
-                spec, backend_class(), compiler_class,
-                max_sim_steps=config.max_sim_steps,
-                deadline=deadline,
-                world=world,
-            )
-        for path in curated:
-            if deadline is not None:
-                deadline.check(f"testing {spec.name}")
-            result.comparisons.append(tester.run_path(path))
-            if config.boundary_witnesses:
-                from repro.difftest.boundary import boundary_models
+    with guard("harness"):
+        tester = DifferentialTester(
+            spec, compiler_class,
+            [backend_class() for backend_class in config.backends],
+            max_sim_steps=config.max_sim_steps,
+            deadline=deadline,
+            world=world,
+        )
+    runs = []  # run_path's per-backend verdicts, in path order
+    for path in curated:
+        if deadline is not None:
+            deadline.check(f"testing {spec.name}")
+        runs.append(tester.run_path(path))
+        if config.boundary_witnesses:
+            from repro.difftest.boundary import boundary_models
 
-                for model in boundary_models(path, tester.context):
-                    result.comparisons.append(tester.run_path(path, model))
+            for model in boundary_models(path, tester.context):
+                runs.append(tester.run_path(path, model))
+    # Every comparison of the first backend, then every one of the next.
+    result.comparisons = [
+        comparison for column in zip(*runs) for comparison in column
+    ]
     result.test_seconds = time.perf_counter() - start
     perf.observe("test", result.test_seconds)
     perf.incr("test.cells")
@@ -398,7 +403,7 @@ def run_from_data(instruction: str, compiler: str, backend: str, model,
     """
     spec = spec_named(instruction)
     tester = DifferentialTester(
-        spec, BACKENDS_BY_NAME[backend](), COMPILERS_BY_NAME[compiler],
+        spec, COMPILERS_BY_NAME[compiler], [BACKENDS_BY_NAME[backend]()],
         max_sim_steps=max_sim_steps,
     )
     if isinstance(model, dict):
@@ -406,7 +411,7 @@ def run_from_data(instruction: str, compiler: str, backend: str, model,
     path = PathResult(instruction=spec.name, kind=spec.kind,
                       constraints=list(constraints), model=model,
                       exit=None, output=None)
-    return tester.run_path(path)
+    return tester.run_path(path)[0]
 
 
 def spec_named(name: str):

@@ -18,7 +18,7 @@ tester must discover blindly.
 """
 
 from repro.jit.ir import IRInstruction, IRBuilder
-from repro.jit.compiler import CompiledCode, CompilationUnit
+from repro.jit.compiler import CompilationUnit
 from repro.jit.simple_stack import SimpleStackBasedCogit
 from repro.jit.stack_to_register import StackToRegisterCogit
 from repro.jit.register_allocating import RegisterAllocatingCogit
@@ -27,7 +27,6 @@ from repro.jit.native_templates import NativeMethodCompiler
 __all__ = [
     "IRInstruction",
     "IRBuilder",
-    "CompiledCode",
     "CompilationUnit",
     "SimpleStackBasedCogit",
     "StackToRegisterCogit",

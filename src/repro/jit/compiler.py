@@ -28,7 +28,7 @@ from repro.bytecode.opcodes import Bytecode
 from repro.errors import CompilerError
 from repro.interpreter.primitives import NativeMethod
 from repro.jit.ir import IRBuilder
-from repro.jit.machine.codecache import CodeCache, CodeObject
+from repro.jit.machine.isa import MachineInstruction
 from repro.jit.machine.simulator import TrampolineTable
 from repro.memory.layout import MAX_SMALL_INT, MIN_SMALL_INT
 
@@ -60,20 +60,6 @@ class CompilationUnit:
     sequence: tuple = ()
 
 
-@dataclass(frozen=True)
-class CompiledCode:
-    """An installed compiled instruction test."""
-
-    code_object: CodeObject
-    compiler_name: str
-    backend_name: str
-    unit: CompilationUnit
-
-    @property
-    def entry(self) -> int:
-        return self.code_object.base_address
-
-
 def _signed_byte(value: int) -> int:
     return value - 256 if value >= 128 else value
 
@@ -101,12 +87,10 @@ class BytecodeCogit:
     TMP_C = "R3"
     TMP_D = "R4"
 
-    def __init__(self, memory, trampolines: TrampolineTable, code_cache: CodeCache,
-                 backend, symbols=None) -> None:
+    def __init__(self, memory, trampolines: TrampolineTable,
+                 symbols=None) -> None:
         self.memory = memory
         self.trampolines = trampolines
-        self.code_cache = code_cache
-        self.backend = backend
         self.symbols = symbols
         self.ir: IRBuilder | None = None
 
@@ -158,7 +142,9 @@ class BytecodeCogit:
     # ------------------------------------------------------------------
     # compilation driver
 
-    def compile(self, unit: CompilationUnit) -> CompiledCode:
+    def compile(self, unit: CompilationUnit) -> list[MachineInstruction]:
+        """The unit lowered to the micro-ISA, which every back-end
+        encodes."""
         if unit.bytecode is None and not unit.sequence:
             raise CompilerError("byte-code cogits compile byte-codes")
         self.ir = IRBuilder()
@@ -173,9 +159,7 @@ class BytecodeCogit:
             self._dispatch(unit, unit.bytecode, unit.operands)
             end_pc = unit.bytecode.size
         self._gen_epilogue(unit, end_pc)
-        lowered = self.ir.lower(self.trampolines, self._register_map())
-        code_object = self.code_cache.install(lowered, self.backend)
-        return CompiledCode(code_object, self.name, self.backend.name, unit)
+        return self.ir.lower(self.trampolines, self._register_map())
 
     def _dispatch(self, unit: CompilationUnit, bytecode, operands) -> None:
         handler = getattr(self, "gen_" + bytecode.family.name, None)

@@ -21,7 +21,6 @@ class CodeObject:
 
     base_address: int
     code: bytes
-    backend_name: str
     #: address -> (instruction, size); decoded at install time.
     decoded: dict = field(default_factory=dict)
 
@@ -48,7 +47,7 @@ class CodeCache:
             address: (instruction, size)
             for address, instruction, size in backend.decode(code, base)
         }
-        obj = CodeObject(base, code, backend.name, decoded)
+        obj = CodeObject(base, code, decoded)
         self._objects.append(obj)
         # Pad between code objects so stray jumps fault fast.
         self._next = base + len(code) + 64

@@ -34,12 +34,9 @@ side is the one missing the check (paper Listing 5).
 from __future__ import annotations
 
 from repro.errors import CompilerError, NotImplementedInCompiler
-from repro.jit.compiler import (
-    CompilationUnit,
-    CompiledCode,
-    NATIVE_FAILURE_MARKER,
-)
+from repro.jit.compiler import CompilationUnit, NATIVE_FAILURE_MARKER
 from repro.jit.ir import IRBuilder
+from repro.jit.machine.isa import MachineInstruction
 from repro.memory.layout import MAX_SMALL_INT, MIN_SMALL_INT, ObjectFormat
 
 RCVR = "R0"
@@ -52,17 +49,16 @@ class NativeMethodCompiler:
 
     name = "NativeMethodCompiler"
 
-    def __init__(self, memory, trampolines, code_cache, backend, symbols=None):
+    def __init__(self, memory, trampolines, symbols=None):
         self.memory = memory
         self.trampolines = trampolines
-        self.code_cache = code_cache
-        self.backend = backend
         self.ir: IRBuilder | None = None
         self._fail_label = "primitive_failure"
 
     # ------------------------------------------------------------------
 
-    def compile(self, unit: CompilationUnit) -> CompiledCode:
+    def compile(self, unit: CompilationUnit) -> list[MachineInstruction]:
+        """The primitive's template lowered to the micro-ISA."""
         if unit.native is None:
             raise CompilerError("the native-method compiler compiles primitives")
         template = getattr(self, "tpl_" + unit.native.name, None)
@@ -77,9 +73,7 @@ class NativeMethodCompiler:
         # fall-through cases" — every failure path lands here.
         self.ir.label(self._fail_label)
         self.ir.stop(NATIVE_FAILURE_MARKER)
-        lowered = self.ir.lower(self.trampolines)
-        code_object = self.code_cache.install(lowered, self.backend)
-        return CompiledCode(code_object, self.name, self.backend.name, unit)
+        return self.ir.lower(self.trampolines)
 
     # ------------------------------------------------------------------
     # small template helpers

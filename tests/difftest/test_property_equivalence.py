@@ -45,13 +45,13 @@ class _Path:
 
 
 def run_random_inputs(spec, compiler_class, seed, count=6):
-    tester = DifferentialTester(spec, X86Backend(), compiler_class)
+    tester = DifferentialTester(spec, compiler_class, [X86Backend()])
     context = SolverContext.from_memory(tester.memory)
     generator = RandomInputGenerator(context, seed=seed)
     outcomes = []
     for _ in range(count):
         model = generator.random_model()
-        outcomes.append(tester.run_path(_Path(model)))
+        outcomes += tester.run_path(_Path(model))
     return outcomes
 
 

@@ -152,10 +152,12 @@ class TestRetryRule:
         assert [r for r in faulted_records if r["compiler"] != first] == [
             r for r in clean_records if r["compiler"] != first
         ]
-        # The plan is consulted once per comparison: the failed first
-        # attempt's single one, then every comparison that completed.
+        # The plan is consulted once per path, whose one compile serves
+        # every backend: the failed first attempt's single consultation,
+        # then one per path of every comparison that completed.
+        backends = len(CampaignConfig().backends)
         comparisons = sum(len(r["comparisons"]) for r in faulted_records)
-        assert faulted_calls == 1 + comparisons
-        assert len(consulted) == sum(
+        assert faulted_calls == 1 + comparisons // backends
+        assert len(consulted) * backends == sum(
             len(r["comparisons"]) for r in clean_records
         )

@@ -106,12 +106,15 @@ class JitWorld:
             input_stack=tuple(input_stack),
         )
 
+    def install(self, compiler_class, unit) -> int:
+        """Compile *unit*, encode it for this world's backend and return
+        its entry address."""
+        compiler = compiler_class(self.memory, self.trampolines, self.symbols)
+        code = self.code_cache.install(compiler.compile(unit), self.backend)
+        return code.base_address
+
     def run_bytecode(self, compiler_class, unit, receiver=None, temps=()):
-        compiler = compiler_class(
-            self.memory, self.trampolines, self.code_cache, self.backend,
-            self.symbols,
-        )
-        compiled = compiler.compile(unit)
+        entry = self.install(compiler_class, unit)
         sim = self.simulator
         sim.reset()
         frame_base = STACK_TOP - (1 + 16) * WORD_SIZE
@@ -123,7 +126,7 @@ class JitWorld:
             sim.write_word(frame_base + WORD_SIZE * (1 + index), value)
         sim._push(END_SENTINEL)
         base = sim.get("SP")
-        outcome = sim.run(compiled.entry)
+        outcome = sim.run(entry)
         count = max(0, (base - sim.get("SP")) // WORD_SIZE)
         stack = [
             sim.read_word(sim.get("SP") + offset * WORD_SIZE)
@@ -135,17 +138,14 @@ class JitWorld:
     def run_native(self, name, receiver, args):
         native = primitive_named(name)
         unit = self.native_unit(name, [receiver, *args])
-        compiler = NativeMethodCompiler(
-            self.memory, self.trampolines, self.code_cache, self.backend
-        )
-        compiled = compiler.compile(unit)
+        entry = self.install(NativeMethodCompiler, unit)
         sim = self.simulator
         sim.reset()
         sim._push(END_SENTINEL)
         sim.set("R0", receiver)
         for index, value in enumerate(args):
             sim.set(f"R{index + 1}", value)
-        return sim.run(compiled.entry)
+        return sim.run(entry)
 
 
 @pytest.fixture
@@ -473,9 +473,7 @@ class TestNativeTemplates:
         assert world.memory.class_of(outcome.result).name == "Point"
 
     def test_ffi_primitives_not_implemented(self, world):
-        compiler = NativeMethodCompiler(
-            world.memory, world.trampolines, world.code_cache, world.backend
-        )
+        compiler = NativeMethodCompiler(world.memory, world.trampolines)
         unit = world.native_unit("primitiveFFIReadInt32", [])
         with pytest.raises(NotImplementedInCompiler):
             compiler.compile(unit)

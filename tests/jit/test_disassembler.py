@@ -80,13 +80,10 @@ class TestDisplayRegisters:
                          world.memory.integer_object_of(2)],
         )
         compiler = StackToRegisterCogit(
-            world.memory, world.trampolines, world.code_cache, world.backend,
-            world.symbols,
+            world.memory, world.trampolines, world.symbols
         )
-        compiled = compiler.compile(unit)
-        text = format_disassembly(
-            compiled.code_object, world.backend, world.trampolines
-        )
+        code = world.code_cache.install(compiler.compile(unit), world.backend)
+        text = format_disassembly(code, world.backend, world.trampolines)
         assert "tst_ri" in text  # the checkSmallInteger lowering
         assert "send:+/1" in text  # annotated slow-path call
         assert "brk" in text  # the epilogue markers

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import CompilerError
-from repro.jit.machine import CodeCache, TrampolineTable, X86Backend
+from repro.jit.machine import TrampolineTable
 from repro.jit.machine.registers import ALLOCATABLE_REGS
 from repro.jit.register_allocating import RegisterAllocatingCogit
 from repro.memory.bootstrap import bootstrap_memory
@@ -14,9 +14,7 @@ from repro.memory.bootstrap import bootstrap_memory
 @pytest.fixture
 def cogit():
     memory, _ = bootstrap_memory(heap_words=1024)
-    instance = RegisterAllocatingCogit(
-        memory, TrampolineTable(), CodeCache(), X86Backend()
-    )
+    instance = RegisterAllocatingCogit(memory, TrampolineTable())
     from repro.jit.ir import IRBuilder
 
     instance.ir = IRBuilder()

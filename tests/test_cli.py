@@ -293,6 +293,22 @@ class TestCommands:
         assert main(["disasm", "seq:pushOne+pushTwo+bytecodePrimAdd"]) == 0
         assert "brk" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name, backend", [
+        ("longJump", "x86"), ("longJumpIfTrue", "arm32"),
+        ("longJumpIfFalse", "x86"), ("pushIntegerByte", "arm32"),
+        ("pushTemporaryVariableLong", "x86"),
+        ("storeTemporaryVariableLong", "arm32"),
+        ("pushReceiverVariableLong", "x86"),
+        ("storeReceiverVariableLong", "arm32"),
+        ("popIntoTemporaryVariableLong", "x86"),
+    ])
+    def test_disasm_compiles_operand_bytes(self, name, backend, capsys):
+        """A byte-code with an operand byte compiles with it, as the
+        campaign's harness compiles it."""
+        assert main(["disasm", name, "--compiler", "simple",
+                     "--backend", backend]) == 0
+        assert f"{backend} code object" in capsys.readouterr().out
+
     def test_generate(self, tmp_path, capsys):
         code = main(["generate", str(tmp_path), "pushTrue", "primitiveAdd"])
         assert code == 0
