@@ -716,7 +716,8 @@ def _run_shards(config: CampaignConfig, rows: list[ExperimentRow],
         from repro.incremental.store import campaign_store
 
         store = campaign_store(cache_dir)
-        fingerprints = plan_fingerprints(rows, config)
+        with perf.timer("fingerprint"):
+            fingerprints = plan_fingerprints(rows, config)
         for key, fingerprint in fingerprints.items():
             cached = store.get(fingerprint, key)
             if cached is not None:
@@ -751,7 +752,8 @@ def _run_shards(config: CampaignConfig, rows: list[ExperimentRow],
     finally:
         if journal is not None:
             journal.close()
-    merge_records(rows, records, result)
+    with perf.timer("merge"):
+        merge_records(rows, records, result)
     if journal is not None and resume:
         result.journal_replay = journal.replay
     if store is not None:

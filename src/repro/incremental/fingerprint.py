@@ -156,7 +156,22 @@ def _collect_names(code, into: set) -> None:
             _collect_names(const, into)
 
 
-def _walk_members(roots, namespaces, edge_memo=None) -> dict:
+def _resolve(name, namespaces, labels, memo) -> list:
+    """``[((label, name), live object, function or None)]``: *name*
+    resolved against each namespace that has it, in order."""
+    resolved = memo.get((labels, name))
+    if resolved is None:
+        resolved = memo[(labels, name)] = []
+        for label, namespace in namespaces:
+            try:
+                value = getattr(namespace, name)
+            except AttributeError:
+                continue
+            resolved.append(((label, name), value, _function_of(value)))
+    return resolved
+
+
+def _walk_members(roots, namespaces, edge_memo=None, name_memo=None) -> dict:
     """Resolve the live semantic closure of *roots* over *namespaces*.
 
     Starting from the root functions, every global/attribute name a
@@ -167,14 +182,17 @@ def _walk_members(roots, namespaces, edge_memo=None) -> dict:
     monkey-patched member changes the map (and hence the fingerprint)
     while it is installed.
 
-    ``edge_memo`` caches each function's name resolutions across the
-    walks of one :func:`plan_fingerprints` pass (Interpreter.step's
-    sub-closure is identical for every spec); only valid while the
+    ``edge_memo`` caches each function's resolutions, and ``name_memo``
+    each name's, across the walks of one :func:`plan_fingerprints` pass
+    (Interpreter.step's sub-closure is identical for every spec, and
+    most helpers mention the same few names); only valid while the
     live patch state is fixed.
     """
     if edge_memo is None:
         edge_memo = {}
-    label_key = tuple(label for label, _namespace in namespaces)
+    if name_memo is None:
+        name_memo = {}
+    labels = tuple(label for label, _namespace in namespaces)
     members: dict = {}
     queue: list = []
     scanned: set = set()
@@ -189,20 +207,16 @@ def _walk_members(roots, namespaces, edge_memo=None) -> dict:
         if id(func) in scanned:
             continue
         scanned.add(id(func))
-        edge_key = (id(func), label_key)
+        edge_key = (id(func), labels)
         edges = edge_memo.get(edge_key)
         if edges is None:
-            edges = []
             names: set = set()
             _collect_names(func.__code__, names)
-            for name in sorted(names):
-                for label, namespace in namespaces:
-                    try:
-                        value = getattr(namespace, name)
-                    except AttributeError:
-                        continue
-                    edges.append(((label, name), value, _function_of(value)))
-            edge_memo[edge_key] = edges
+            edges = edge_memo[edge_key] = [
+                edge
+                for name in sorted(names)
+                for edge in _resolve(name, namespaces, labels, name_memo)
+            ]
         for key, value, inner in edges:
             if key in members:
                 continue
@@ -291,12 +305,17 @@ _COMPILER_MACHINERY = (
 )
 
 
-def _compiler_roots(spec, compiler_class) -> list:
+def _machinery_roots(compiler_class) -> list:
     roots = []
     for name in _COMPILER_MACHINERY:
         member = getattr(compiler_class, name, None)
         if member is not None:
             roots.append(member)
+    return roots
+
+
+def _generator_roots(spec, compiler_class) -> list:
+    roots = []
     if spec.kind == "native":
         template = getattr(compiler_class, "tpl_" + spec.native.name, None)
         if template is not None:
@@ -311,12 +330,18 @@ def _compiler_roots(spec, compiler_class) -> list:
     return roots
 
 
+def _compiler_namespaces(compiler_class) -> list:
+    return [(compiler_class.__name__, compiler_class)]
+
+
 def _root_groups(spec, compiler_class) -> list:
     """``(group, roots, namespaces)``: interpreter, then compiler."""
     return [
         ("interpreter", _interpreter_roots(spec), _interpreter_namespaces()),
-        (compiler_class.__name__, _compiler_roots(spec, compiler_class),
-         [(compiler_class.__name__, compiler_class)]),
+        (compiler_class.__name__,
+         _machinery_roots(compiler_class)
+         + _generator_roots(spec, compiler_class),
+         _compiler_namespaces(compiler_class)),
     ]
 
 
@@ -447,43 +472,98 @@ def _members_digest(members: dict, digests: dict) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-def cell_fingerprint(spec, compiler_class, config, _memo=None) -> str:
-    """The content-addressed identity of one campaign cell.
+class _Pass:
+    """One fingerprinting pass: what it renders, resolves and digests
+    once for all of its cells.  That is the knob render, each spec's
+    signature render and interpreter parts, the interpreter namespaces,
+    each compiler's machinery parts, each function's and each name's
+    resolutions, each root's closure digest and the environment's.
 
-    The closure enters as one digest per root and one for the
-    environment.  ``_memo`` shares those digests (and the walks' name
-    resolutions) across the cells of one :func:`plan_fingerprints`
-    pass — valid only while the live patch state is fixed, which the
-    pass guarantees by fingerprinting under one ``activated()``.
+    Every entry reads live attributes, so a pass is valid only while
+    the patch state is fixed: :func:`plan_fingerprints` holds one
+    ``activated()`` around its pass and drops the pass on return.
     """
-    if _memo is None:
-        _memo = {}
-    edges = _memo.setdefault("edges", {})
-    digests = _memo.setdefault("digests", {})
-    closures = _memo.setdefault("closures", {})
-    parts = [
-        f"fingerprint:{FINGERPRINT_VERSION}",
-        f"python:{sys.version_info[0]}.{sys.version_info[1]}",
-        "spec:" + _render_value(_spec_signature(spec)),
-        "knobs:" + _render_value(_budget_signature(config)),
-        "sources:" + _static_environment_hash(),
-    ]
-    for group, roots, namespaces in _root_groups(spec, compiler_class):
-        scope = tuple(namespace for _label, namespace in namespaces)
-        for index, root in enumerate(roots):
+
+    def __init__(self, config) -> None:
+        self.edges: dict = {}
+        self.names: dict = {}
+        #: (root function, namespace labels) -> its closure's digest.
+        self.closures: dict = {}
+        #: member id -> (member, digest); holding the member keeps its
+        #: id from being reused mid-pass.
+        self.digests: dict = {}
+        #: (kind, name) -> the spec's ``spec:`` and interpreter parts.
+        self.specs: dict = {}
+        #: compiler class -> (root count, parts) of its machinery.
+        self.machinery: dict = {}
+        self.namespaces = _interpreter_namespaces()
+        self.head = "\n".join((
+            f"fingerprint:{FINGERPRINT_VERSION}",
+            f"python:{sys.version_info[0]}.{sys.version_info[1]}",
+        ))
+        self.tail = "\n".join((
+            "knobs:" + _render_value(_budget_signature(config)),
+            "sources:" + _static_environment_hash(),
+        ))
+        self.environment = "environment=" + _members_digest(
+            _environment_members(), self.digests)
+
+    def fingerprint(self, spec, compiler_class) -> str:
+        """The closure enters as one digest per root, then one for the
+        environment."""
+        signature, interpreter = self._spec_parts(spec)
+        parts = [self.head, signature, self.tail, *interpreter,
+                 *self._compiler_parts(spec, compiler_class),
+                 self.environment]
+        return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+
+    def _spec_parts(self, spec) -> tuple:
+        key = (spec.kind, spec.name)
+        parts = self.specs.get(key)
+        if parts is None:
+            parts = self.specs[key] = (
+                "spec:" + _render_value(_spec_signature(spec)),
+                self._root_parts("interpreter", _interpreter_roots(spec),
+                                 self.namespaces),
+            )
+        return parts
+
+    def _compiler_parts(self, spec, compiler_class) -> list:
+        """The machinery roots' parts, then the spec's generators',
+        numbered on from the machinery."""
+        group = compiler_class.__name__
+        namespaces = _compiler_namespaces(compiler_class)
+        machinery = self.machinery.get(compiler_class)
+        if machinery is None:
+            roots = _machinery_roots(compiler_class)
+            machinery = self.machinery[compiler_class] = (
+                len(roots), self._root_parts(group, roots, namespaces))
+        start, parts = machinery
+        return parts + self._root_parts(
+            group, _generator_roots(spec, compiler_class), namespaces, start)
+
+    def _root_parts(self, group, roots, namespaces, start=0) -> list:
+        """One ``group[index]=digest`` part per function root."""
+        labels = tuple(label for label, _namespace in namespaces)
+        parts = []
+        for index, root in enumerate(roots, start):
             func = _function_of(root)
             if func is None:
                 continue
-            digest = closures.get((func, scope))
+            digest = self.closures.get((func, labels))
             if digest is None:
-                digest = closures[(func, scope)] = _members_digest(
-                    _walk_members([func], namespaces, edges), digests)
+                digest = self.closures[(func, labels)] = _members_digest(
+                    _walk_members([func], namespaces, self.edges,
+                                  self.names),
+                    self.digests)
             parts.append(f"{group}[{index}]={digest}")
-    if "environment" not in _memo:
-        _memo["environment"] = _members_digest(_environment_members(),
-                                               digests)
-    parts.append("environment=" + _memo["environment"])
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+        return parts
+
+
+def cell_fingerprint(spec, compiler_class, config) -> str:
+    """The content-addressed identity of one campaign cell: a pass of
+    its own, fingerprinting this one cell (see :class:`_Pass`)."""
+    return _Pass(config).fingerprint(spec, compiler_class)
 
 
 def plan_fingerprints(rows, config) -> dict:
@@ -491,23 +571,24 @@ def plan_fingerprints(rows, config) -> dict:
 
     Computed under ``activated(config.mutants)`` so the closures are
     hashed exactly as the campaign will execute them — that is the
-    whole baseline-reuse / no-leak contract.
+    whole baseline-reuse / no-leak contract.  One :class:`_Pass` serves
+    every cell, and each gets the fingerprint :func:`cell_fingerprint`
+    gives it alone.
     """
     from repro.mutation import activated
     from repro.parallel.shard import plan_cells
 
     fingerprints: dict = {}
     memo: dict = {}
-    closure_memo: dict = {}
     with activated(getattr(config, "mutants", ())):
+        fingerprint_pass = _Pass(config)
         for cell in plan_cells(rows):
             row = rows[cell.row_index]
             spec = row.specs[cell.spec_index]
             memo_key = (cell.experiment, cell.kind, cell.instruction,
                         cell.compiler)
             if memo_key not in memo:
-                memo[memo_key] = cell_fingerprint(
-                    spec, row.compiler_class, config, closure_memo
-                )
+                memo[memo_key] = fingerprint_pass.fingerprint(
+                    spec, row.compiler_class)
             fingerprints[cell.key] = memo[memo_key]
     return fingerprints

@@ -3,11 +3,11 @@
 The campaign's job is to *notice* defects.  This module measures that
 directly: for every registered mutant and every path budget it runs
 the regular campaign twice — once unmutated (the baseline), once with
-the mutant active — and compares the two reports record by record, in
-canonical plan order.  Because the unmutated campaign already reports
-legitimate interpreter/JIT differences (the paper's Tables 2 and 3),
-"detected" is defined as a *delta against the baseline*, never as
-"any difference was reported".
+the mutant active — and compares the two reports verdict by verdict,
+in canonical plan order.  Because the unmutated campaign already
+reports legitimate interpreter/JIT differences (the paper's Tables 2
+and 3), "detected" is defined as a *delta against the baseline*, never
+as "any difference was reported".
 
 Three quantities per mutant (docs/MUTATION.md):
 
@@ -41,7 +41,6 @@ budget and compares every mutant against its own corpus's baseline.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -66,36 +65,38 @@ DEFAULT_BUDGETS = (4, 16, 64)
 
 
 # ----------------------------------------------------------------------
-# detection: canonical report fingerprints
+# detection: verdict tuples in plan order
 
 
 def campaign_fingerprint(result) -> tuple:
-    """The campaign's detection surface as canonical JSON lines.
+    """The campaign's detection surface: one verdict tuple per comparison.
 
-    One line per comparison, in plan order, carrying the cell identity
-    plus the full serialized verdict (:meth:`ComparisonResult
-    .to_record` — status, difference kind, classification facts, path
-    signature).  Quarantined cells are present too: they surface as
-    ``CRASHED`` comparisons in the same stream.  No wall-clock fields,
-    so fingerprints are byte-identical across engines and resumes.
+    One tuple per comparison, in plan order: the cell identity
+    (instruction, compiler), then every field the comparison's record
+    carries (:meth:`ComparisonResult.to_record` — back-end, status,
+    difference kind, detail, interpreter condition, outcome kind,
+    operand shape, path signature).  Every verdict of a campaign is
+    read back from its record, with the enum members
+    :meth:`ComparisonResult.from_record` gives, so two tuples are equal
+    exactly when the two records serialize to the same JSON.
+    Quarantined cells are present too: they surface as ``CRASHED``
+    comparisons in the same stream.  No wall-clock fields, so
+    fingerprints are identical across engines and resumes.
     """
-    lines = []
-    for report in result:
-        for cell in report.results:
-            for comparison in cell.comparisons:
-                record = dict(comparison.to_record())
-                record["instruction"] = cell.instruction
-                record["compiler"] = cell.compiler
-                lines.append(json.dumps(record, sort_keys=True))
-    return tuple(lines)
-
-
-def _record_label(line: str, index: int) -> str:
-    record = json.loads(line)
-    return (
-        f"{record['instruction']}[{record['compiler']}/"
-        f"{record.get('backend', '?')}]#{index}"
+    return tuple(
+        (cell.instruction, cell.compiler, comparison.backend,
+         comparison.status, comparison.difference_kind, comparison.detail,
+         comparison.interpreter_condition, comparison.outcome_kind,
+         comparison.operand_shape, comparison.path_signature)
+        for report in result
+        for cell in report.results
+        for comparison in cell.comparisons
     )
+
+
+def _record_label(verdict: tuple, index: int) -> str:
+    instruction, compiler, backend = verdict[:3]
+    return f"{instruction}[{compiler}/{backend}]#{index}"
 
 
 def first_divergence(baseline: tuple, mutated: tuple):

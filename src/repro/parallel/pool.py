@@ -39,16 +39,17 @@ Failure semantics, composing with the PR-2 robustness layer:
   as its ``wait`` timeout, terminating workers that outlive it (a hung
   worker cannot outlive the budget).  Expiry stops the campaign
   cleanly with ``budget_exhausted`` set; a journal makes it resumable.
-* **Per-cell supervision** (:mod:`repro.robustness.supervise`): each
-  worker announces the cell it is about to run with a ``cell_start``
-  heartbeat.  When a cell outlives the effective ``--cell-timeout``
-  (explicit flag, or a quarter of the deadline), the parent SIGKILLs
-  the worker, charges that one cell a ``BudgetExhausted`` quarantine
-  entry, re-queues the rest of the shard, and respawns under capped
-  exponential backoff — a hung cell costs ``--cell-timeout``, not the
-  whole campaign deadline.  A worker killed by ``SIGXCPU``
-  (``--worker-cpu-seconds``) is classified ``WorkerResourceExceeded``
-  rather than a generic ``WorkerCrash``.
+* **Per-cell supervision** (:mod:`repro.robustness.supervise`): when
+  an effective ``--cell-timeout`` is set (explicit flag, or a quarter
+  of the deadline), each worker announces the cell it is about to run
+  with a ``cell_start`` heartbeat; unsupervised, it sends none.  When
+  a cell outlives the timeout, the parent SIGKILLs the worker, charges
+  that one cell a ``BudgetExhausted`` quarantine entry, re-queues the
+  rest of the shard, and respawns under capped exponential backoff — a
+  hung cell costs ``--cell-timeout``, not the whole campaign deadline.
+  A worker killed by ``SIGXCPU`` (``--worker-cpu-seconds``) is
+  classified ``WorkerResourceExceeded`` rather than a generic
+  ``WorkerCrash``.
 * **Checkpointing**: workers append their own records to the journal
   (appends are single-``write`` and checksummed, safe under concurrent
   writers); the parent journals only the ``WorkerCrash`` cells it

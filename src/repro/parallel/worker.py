@@ -37,10 +37,13 @@ under concurrent workers).
 
 Wire protocol, all plain picklable data.  Shard function -> parent:
 
-* ``("cell_start", key)`` — heartbeat: the cell about to run.  The
-  pool's supervisor starts the per-cell wall clock here; a cell whose
-  record never follows within ``--cell-timeout`` gets its worker
-  SIGKILLed (:mod:`repro.robustness.supervise`);
+* ``("cell_start", key)`` — heartbeat: the cell about to run, sent
+  only under supervision (``--cell-timeout``, or a ``--deadline`` that
+  derives one: :func:`~repro.robustness.supervise.effective_cell_timeout`
+  is not None).  The pool's supervisor starts the per-cell wall clock
+  here; a cell whose record never follows within the timeout gets its
+  worker SIGKILLed (:mod:`repro.robustness.supervise`).  Unsupervised,
+  nothing reads a heartbeat, so none is sent;
 * ``("cell", key, record)`` — one completed (or quarantined) cell.
   The record's comparison entries also carry the triage candidate
   payload (path constraint signatures, exit pairs, operand shapes,
@@ -86,7 +89,10 @@ from repro.difftest.runner import execute_cell
 from repro.robustness.budgets import Deadline
 from repro.robustness.checkpoint import CampaignJournal
 from repro.robustness.errors import BudgetExhausted, CampaignError
-from repro.robustness.supervise import apply_worker_rlimits
+from repro.robustness.supervise import (
+    apply_worker_rlimits,
+    effective_cell_timeout,
+)
 
 
 def run_worker(conn, rows, config, remaining_seconds, journal_path,
@@ -156,7 +162,8 @@ def _run_worker_activated(conn, rows, config, remaining_seconds,
 
 def serve_shard(send, rows, config, deadline, journal, store, shard,
                 fingerprints) -> None:
-    """Run one shard's cells in plan order, sending each record.
+    """Run one shard's cells in plan order, sending each record (after
+    a ``cell_start`` heartbeat when the cell is supervised).
 
     A campaign-scoped :class:`BudgetExhausted`, and under
     ``fail_fast`` a cell's crash, propagate to the caller.
@@ -166,9 +173,11 @@ def serve_shard(send, rows, config, deadline, journal, store, shard,
     # shard never spans instructions).
     cache = ExplorationCache()
     before = store.stats.stored if store is not None else 0
+    supervised = effective_cell_timeout(config) is not None
     for cell in shard.cells:
         row = rows[cell.row_index]
-        send(("cell_start", cell.key))
+        if supervised:
+            send(("cell_start", cell.key))
         result = execute_cell(config, deadline, row.specs[cell.spec_index],
                               row.compiler_class, cache)
         record = result.to_record(cell.key)

@@ -4,14 +4,16 @@ Three small, separately testable pieces, all consumed by
 :mod:`repro.parallel`:
 
 * :func:`effective_cell_timeout` — the per-cell wall-clock budget the
-  parent enforces.  Workers announce each cell with a ``cell_start``
+  parent enforces.  Explicit ``--cell-timeout`` wins; otherwise a
+  campaign ``--deadline`` derives a default (a quarter of the
+  deadline, floored at one second) so a single hung cell can never
+  ride the run to its global budget; with neither, supervision is off.
+  Under supervision, workers announce each cell with a ``cell_start``
   heartbeat over their result pipe; a worker whose announced cell is
   still unfinished after the timeout is SIGKILLed by the parent, the
   cell is charged one ``BudgetExhausted`` quarantine entry, and the
-  rest of its shard is re-queued.  Explicit ``--cell-timeout`` wins;
-  otherwise a campaign ``--deadline`` derives a default (a quarter of
-  the deadline, floored at one second) so a single hung cell can never
-  ride the run to its global budget; with neither, supervision is off.
+  rest of its shard is re-queued.  Unsupervised, workers send no
+  heartbeat: nothing would read it.
 
 * :class:`RespawnBackoff` — capped exponential backoff between worker
   respawns, so a systematically dying target (every cell segfaults,

@@ -6,7 +6,8 @@ replaced a ``CampaignConfig`` knob that removed the same getters
 through a simulator constructor argument.  Before the knob was
 removed (commit 508d53c), the knob run and the mutant run of the scope
 below gave the same 48 comparison records.  The SHA-256 of their
-``campaign_fingerprint`` lines joined by ``\\n`` was recorded then,
+records as sorted-key JSON lines (each comparison's record plus the
+cell's instruction and compiler) joined by ``\\n`` was recorded then,
 under ``PYTHONHASHSEED`` 0 and 7 and at ``-j 1`` and ``-j 2``; it is
 pinned here so the mutants must keep reproducing those records.
 """
@@ -14,6 +15,7 @@ pinned here so the mutants must keep reproducing those records.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -31,8 +33,22 @@ SEEDED_DIGEST = (
 )
 
 
+def json_lines(result) -> list:
+    """One sorted-key JSON line per comparison: its record plus the
+    cell's instruction and compiler, in plan order."""
+    lines = []
+    for report in result:
+        for cell in report.results:
+            for comparison in cell.comparisons:
+                record = dict(comparison.to_record())
+                record["instruction"] = cell.instruction
+                record["compiler"] = cell.compiler
+                lines.append(json.dumps(record, sort_keys=True))
+    return lines
+
+
 def digest(result) -> str:
-    lines = campaign_fingerprint(result)
+    lines = json_lines(result)
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 

@@ -23,15 +23,14 @@ from repro.mutation.recall import (
     run_recall,
 )
 from repro.triage import TriageConfig
+from tests.mutation.test_fidelity import json_lines
 
 
 def _line(instruction="bytecodePrimAdd", compiler="simple", backend="x86",
           status="SAME"):
-    return json.dumps(
-        {"instruction": instruction, "compiler": compiler,
-         "backend": backend, "status": status},
-        sort_keys=True,
-    )
+    """A verdict tuple as :func:`campaign_fingerprint` builds it."""
+    return (instruction, compiler, backend, status, None, "", None, None,
+            "unknown", ())
 
 
 class TestFirstDivergence:
@@ -57,6 +56,39 @@ class TestFirstDivergence:
 SWEEP_CONFIG = CampaignConfig(
     only=("primitiveFloatTruncated", "bytecodePrimLessThan"),
 )
+
+
+def _json_divergence(baseline: list, mutated: list):
+    """The reference: ``first_divergence`` over sorted-key JSON lines,
+    labelled from the decoded record."""
+    for index, (base, mut) in enumerate(zip(baseline, mutated)):
+        if base != mut:
+            record = json.loads(mut)
+            return index, (f"{record['instruction']}[{record['compiler']}/"
+                           f"{record['backend']}]#{index}")
+    assert len(baseline) == len(mutated)
+    return None
+
+
+class TestVerdictTuples:
+    """Detection on verdict tuples finds what sorted-key JSON found."""
+
+    def test_same_divergence_as_json_lines(self):
+        scoped = replace(SWEEP_CONFIG, max_paths_per_instruction=4)
+        baseline = run_campaign(scoped)
+        mutated = run_campaign(replace(scoped, mutants=("C1",)))
+        tuples = (campaign_fingerprint(baseline),
+                  campaign_fingerprint(mutated))
+        lines = (json_lines(baseline), json_lines(mutated))
+        assert len(tuples[0]) == len(lines[0]) > 0
+        assert len(tuples[1]) == len(lines[1])
+        # Each verdict equals its baseline verdict exactly when its
+        # JSON line does, so the first deviation is the same one.
+        assert [a == b for a, b in zip(*tuples)] == [
+            a == b for a, b in zip(*lines)]
+        divergence = first_divergence(*tuples)
+        assert divergence is not None
+        assert divergence == _json_divergence(*lines)
 
 
 def _counts(report) -> dict:

@@ -159,3 +159,21 @@ class TestCampaignParity:
         # Worker-side exploration cache folding matches the aggregate.
         assert counters["explore.cache_hits"] == profiled.cache_hits
         assert counters["explore.cache_misses"] == profiled.cache_misses
+
+    def test_coordinator_timers(self, config, tmp_path):
+        """The parent's serial set-up and finish are timed: one
+        ``fingerprint`` (with a result store only) and one ``merge``
+        per campaign, with the report unchanged."""
+        from repro.difftest.report import format_table2, format_table3
+        from repro.difftest.runner import run_campaign
+
+        plain = run_campaign(config, cache_dir=str(tmp_path / "plain"))
+        profiled = run_campaign(replace(config, profile=True),
+                                cache_dir=str(tmp_path / "profiled"))
+        assert format_table2(profiled) == format_table2(plain)
+        assert format_table3(profiled) == format_table3(plain)
+        calls = profiled.perf["timer_calls"]
+        assert calls["fingerprint"] == calls["merge"] == 1
+        uncached = run_campaign(replace(config, profile=True))
+        assert "fingerprint" not in uncached.perf["timers"]
+        assert uncached.perf["timer_calls"]["merge"] == 1
