@@ -10,12 +10,12 @@ executions.
 
 Also exercises the byte-code *sequence* extension (the paper's future
 work): the interesting-sequence corpus must test clean against the
-production compiler.
+production compiler.  Both listings must equal their goldens.
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import write_artifact, write_json_artifact
+from benchmarks.conftest import check_golden
 from repro import NativeMethodSpec, StackToRegisterCogit, primitive_named
 from repro.concolic.sequences import interesting_sequences
 from repro.difftest.fuzz import measure_path_coverage
@@ -35,18 +35,14 @@ GUARDED_PRIMITIVES = (
 RANDOM_BUDGET = 100
 
 
-def test_extension_concolic_vs_random_coverage(benchmark):
-    def measure_all():
-        return [
-            measure_path_coverage(
-                NativeMethodSpec(primitive_named(name)),
-                random_tests=RANDOM_BUDGET,
-            )
-            for name in GUARDED_PRIMITIVES
-        ]
-
-    reports = benchmark.pedantic(measure_all, rounds=1, iterations=1)
-
+def test_extension_concolic_vs_random_coverage():
+    reports = [
+        measure_path_coverage(
+            NativeMethodSpec(primitive_named(name)),
+            random_tests=RANDOM_BUDGET,
+        )
+        for name in GUARDED_PRIMITIVES
+    ]
     lines = [
         f"{'Instruction':26s} {'concolic':>9s} {'iters':>6s} "
         f"{'random/100':>11s} {'coverage':>9s}"
@@ -57,20 +53,7 @@ def test_extension_concolic_vs_random_coverage(benchmark):
             f"{report.concolic_iterations:6d} {report.covered_paths:11d} "
             f"{report.coverage * 100:8.0f}%"
         )
-    write_artifact("extension_coverage.txt", "\n".join(lines))
-    write_json_artifact(
-        "extension_coverage",
-        {
-            report.instruction: {
-                "concolic_paths": report.concolic_paths,
-                "concolic_iterations": report.concolic_iterations,
-                "covered_paths": report.covered_paths,
-                "coverage": round(report.coverage, 4),
-                "new_signatures": report.new_signatures,
-            }
-            for report in reports
-        },
-    )
+    check_golden("extension_coverage.txt", "\n".join(lines))
 
     # Concolic enumerates every path; the random baseline misses some
     # on at least one guarded instruction even with 100x the budget of
@@ -80,31 +63,17 @@ def test_extension_concolic_vs_random_coverage(benchmark):
     assert all(report.new_signatures == 0 for report in reports)
 
 
-def test_extension_sequences_clean_on_production_compiler(benchmark):
+def test_extension_sequences_clean_on_production_compiler():
     config = CampaignConfig(backends=(X86Backend,))
-
-    def run_corpus():
-        return [
-            run_instruction_test(spec, StackToRegisterCogit, config)
-            for spec in interesting_sequences()
-        ]
-
-    results = benchmark.pedantic(run_corpus, rounds=1, iterations=1)
+    results = [
+        run_instruction_test(spec, StackToRegisterCogit, config)
+        for spec in interesting_sequences()
+    ]
     lines = ["Sequence corpus vs StackToRegisterCogit (x86):"]
     for result in results:
         lines.append(
             f"  {result.instruction:60s} paths={result.curated_paths} "
             f"diff={result.differing_paths}"
         )
-    write_artifact("extension_sequences.txt", "\n".join(lines))
-    write_json_artifact(
-        "extension_sequences",
-        {
-            result.instruction: {
-                "curated_paths": result.curated_paths,
-                "differing_paths": result.differing_paths,
-            }
-            for result in results
-        },
-    )
+    check_golden("extension_sequences.txt", "\n".join(lines))
     assert all(result.differing_paths == 0 for result in results)

@@ -4,31 +4,21 @@
 native method instructions approach 10 paths in average" (paper
 Section 5.3, Fig. 5 — log-scale box plot).
 
-The benchmark measures one exploration of each kind; the distribution
-is rendered from the session campaign's cells, one per instruction.
+The distribution is rendered from the session campaign's cells, one per
+instruction, and must equal its golden.
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import (
-    distribution_payload,
-    write_artifact,
-    write_json_artifact,
-)
-from repro import bytecode_named, explore_bytecode
+from benchmarks.conftest import check_golden
 from repro.difftest.report import format_distributions, paths_per_instruction
 
 
-def test_fig5_paths_per_instruction(benchmark, instruction_cells):
-    benchmark(lambda: explore_bytecode(bytecode_named("bytecodePrimLessThan")))
-
+def test_fig5_paths_per_instruction(instruction_cells):
     distributions = paths_per_instruction(instruction_cells)
-    write_artifact(
+    check_golden(
         "fig5_paths_per_instruction.txt",
         format_distributions("Paths per instruction (Fig. 5)", distributions),
-    )
-    write_json_artifact(
-        "fig5_paths_per_instruction", distribution_payload(distributions)
     )
 
     bytecode = distributions["bytecode"]

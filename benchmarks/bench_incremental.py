@@ -23,7 +23,6 @@ the CLI surface):
 from __future__ import annotations
 
 import gc
-import os
 import time
 from dataclasses import replace
 
@@ -41,6 +40,8 @@ from repro.difftest.runner import (
 #: must contain its target or the invalidated leg is vacuous.
 INVALIDATED_INSTRUCTION = "bytecodePrimLessThan"
 BYTECODE_COMPILERS = 3
+#: Roster size: byte-codes (the ``Prim`` families first), then natives.
+BYTECODES, NATIVES = 64, 40
 
 
 def bench_config() -> CampaignConfig:
@@ -53,14 +54,12 @@ def bench_config() -> CampaignConfig:
     compilation rather than the fixed fingerprint overhead the warm
     run also pays.
     """
-    small = os.environ.get("REPRO_BENCH_SCALE") == "small"
-    bytecodes, natives = (24, 16) if small else (64, 40)
     full = CampaignConfig()
     bytecode_names = [spec.name for spec in bytecode_specs(full)]
     roster = [name for name in bytecode_names if "Prim" in name]
-    roster += [n for n in bytecode_names if n not in roster][:bytecodes]
-    roster = roster[:bytecodes]
-    roster += [spec.name for spec in native_specs(full)[:natives]]
+    roster += [n for n in bytecode_names if n not in roster][:BYTECODES]
+    roster = roster[:BYTECODES]
+    roster += [spec.name for spec in native_specs(full)[:NATIVES]]
     if INVALIDATED_INSTRUCTION not in roster:
         roster.append(INVALIDATED_INSTRUCTION)
     return CampaignConfig(only=tuple(roster))

@@ -4,9 +4,9 @@ The mutation engine (docs/MUTATION.md) turns "does the tester work?"
 into a measurable number: every registered mutant is a defect we know
 exists, so the campaign's job is to catch all of them.  This benchmark
 runs the full `repro mutate` sweep over the known-catchable
-instruction scope, renders the recall table, and writes
-``BENCH_mutation_recall.json`` (with wall-clock timing) next to the
-other artifacts.
+instruction scope, renders the recall table, which must equal its
+golden, and writes ``BENCH_mutation_recall.json`` (with wall-clock
+timing) next to the other artifacts.
 
 Gates (the same ones the ``mutation-smoke`` CI job enforces):
 
@@ -17,9 +17,7 @@ Gates (the same ones the ``mutation-smoke`` CI job enforces):
 
 from __future__ import annotations
 
-import os
-
-from benchmarks.conftest import write_artifact, write_json_artifact
+from benchmarks.conftest import check_golden, write_json_artifact
 from repro.difftest.runner import CampaignConfig
 from repro.mutation.recall import format_recall, run_recall
 
@@ -40,21 +38,17 @@ SCOPE = (
     "primitiveAdd",
 )
 
-
-def recall_budgets() -> tuple:
-    if os.environ.get("REPRO_BENCH_SCALE") == "small":
-        return (4, 16)
-    return (4, 16, 64)
+BUDGETS = (4, 16, 64)
 
 
 def test_mutation_recall_benchmark():
     report = run_recall(
         CampaignConfig(only=SCOPE),
         None,  # the whole registry
-        recall_budgets(),
+        BUDGETS,
     )
 
-    write_artifact("mutation_recall.txt", format_recall(report))
+    check_golden("mutation_recall.txt", format_recall(report))
     write_json_artifact(
         "mutation_recall", report.to_dict(include_timing=True)
     )

@@ -7,7 +7,8 @@ measures the corpus itself (templates derived, solver compatibility
 queries, methods emitted, derivation wall-clock) and then proves the
 corpus earns its keep: the ``C3`` dropped-spill mutant, invisible to
 every single-instruction test, must be caught at every path budget.
-Writes ``BENCH_stitch_recall.json`` next to the other artifacts.
+The corpus and recall listing must equal their golden; the derivation
+time goes to ``BENCH_stitch_recall.json`` next to the other artifacts.
 
 Gates (the same ones the ``stitch-smoke`` CI job enforces):
 
@@ -19,11 +20,10 @@ Gates (the same ones the ``stitch-smoke`` CI job enforces):
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import asdict
 
-from benchmarks.conftest import write_artifact, write_json_artifact
+from benchmarks.conftest import check_golden, write_json_artifact
 from repro.difftest.runner import CampaignConfig
 from repro.mutation.recall import format_recall, run_recall
 from repro.stitch import (
@@ -33,26 +33,11 @@ from repro.stitch import (
     format_stitch_report,
 )
 
-
-def stitch_config() -> CampaignConfig:
-    if os.environ.get("REPRO_BENCH_SCALE") == "small":
-        return CampaignConfig(
-            stitch_fragments=12,
-            stitch_max_methods=8,
-            stitch_depth=2,
-            stitch_paths_per_fragment=4,
-        )
-    return CampaignConfig()  # the default --stitch-* budgets
-
-
-def recall_budgets() -> tuple:
-    if os.environ.get("REPRO_BENCH_SCALE") == "small":
-        return (4, 16)
-    return (4, 16, 64)
+BUDGETS = (4, 16, 64)
 
 
 def test_stitch_benchmark():
-    config = stitch_config()
+    config = CampaignConfig()  # the default --stitch-* budgets
     budget = StitchBudget.from_config(config)
 
     # Corpus derivation cost, measured cold: the campaign memoizes per
@@ -62,20 +47,13 @@ def test_stitch_benchmark():
     specs, corpus_report = build_stitched_corpus(budget)
     derivation_seconds = time.monotonic() - started
 
-    recall_report = run_recall(
-        config,
-        ("C3",),
-        recall_budgets(),
-    )
+    recall_report = run_recall(config, ("C3",), BUDGETS)
 
-    rendered = "\n".join([
+    check_golden("stitch_recall.txt", "\n".join([
         format_stitch_report(corpus_report),
-        f"Corpus derivation: {derivation_seconds:.2f}s "
-        f"({len(specs)} stitched methods)",
         "",
         format_recall(recall_report),
-    ])
-    write_artifact("stitch_recall.txt", rendered)
+    ]))
     write_json_artifact("stitch_recall", {
         "corpus": asdict(corpus_report),
         "derivation_seconds": derivation_seconds,

@@ -2,8 +2,9 @@
 
 Paper Table 1 lists the concrete arguments and the constraint path of
 each exploration of ``bytecodePrimAdd`` (Listing 1).  The benchmark
-measures one full concolic exploration of the instruction; the rendered
-table is written to ``benchmarks/results/table1.txt``.
+runs one full concolic exploration of the instruction; the rendered
+table must equal ``benchmarks/golden/table1.txt``, and the exploration's
+run time goes to ``benchmarks/results/BENCH_table1_add_paths.json``.
 
 Paper rows (for comparison):
 
@@ -20,7 +21,7 @@ float-inlining paths of this interpreter.
 
 from __future__ import annotations
 
-from benchmarks.conftest import write_artifact, write_json_artifact
+from benchmarks.conftest import check_golden, write_json_artifact
 from repro import bytecode_named, explore_bytecode
 from repro.interpreter.exits import ExitCondition
 
@@ -39,32 +40,17 @@ def render_table1(result) -> str:
     lines.append("")
     lines.append(
         f"{result.path_count} paths in {result.iterations} concolic "
-        f"iterations ({result.elapsed_seconds * 1000:.0f} ms)"
+        f"iterations"
     )
     return "\n".join(lines)
 
 
-def test_table1_add_bytecode_paths(benchmark):
-    result = benchmark(
-        lambda: explore_bytecode(bytecode_named("bytecodePrimAdd"))
-    )
-    write_artifact("table1.txt", render_table1(result))
-    write_json_artifact(
-        "table1_add_paths",
-        {
-            "path_count": result.path_count,
-            "iterations": result.iterations,
-            "elapsed_ms": round(result.elapsed_seconds * 1000, 3),
-            "paths": [
-                {
-                    "inputs": path.model.describe() or "(empty frame)",
-                    "exit": path.exit.describe(),
-                    "constraints": [str(c) for c in path.constraints],
-                }
-                for path in result.paths
-            ],
-        },
-    )
+def test_table1_add_bytecode_paths():
+    result = explore_bytecode(bytecode_named("bytecodePrimAdd"))
+    check_golden("table1.txt", render_table1(result))
+    write_json_artifact("table1_add_paths", {
+        "elapsed_ms": round(result.elapsed_seconds * 1000, 3),
+    })
 
     conditions = [path.exit.condition for path in result.paths]
     # Paper Table 1 structure: an all-integer success path, overflow

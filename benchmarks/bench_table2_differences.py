@@ -15,45 +15,31 @@ find the *same* differences; the simple compiler finds strictly more;
 absolute path counts differ because our primitive set is smaller than
 Pharo's.
 
-The benchmark measures one representative unit — the full differential
+The benchmark runs one representative unit — the full differential
 test of one native method across both ISAs; the full table comes from
-the session-cached campaign.
+the session-cached campaign and must equal its golden.  So must the
+Table 2 of each extension plan, which is what ``repro campaign
+--sequences --no-cache`` and ``repro campaign --stitch --no-cache``
+print.
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import write_artifact, write_json_artifact
+import pytest
+
+from benchmarks.conftest import EXTENSION_PLANS, check_golden
 from repro import NativeMethodCompiler, NativeMethodSpec, primitive_named
 from repro.difftest.report import format_table2
 from repro.difftest.runner import CampaignConfig
 from repro.difftest.runner import test_instruction as run_instruction_test
 
 
-def test_table2_differences_per_compiler(benchmark, campaign):
+def test_table2_differences_per_compiler(campaign):
     spec = NativeMethodSpec(primitive_named("primitiveFloatAdd"))
-
-    def unit():
-        return run_instruction_test(spec, NativeMethodCompiler, CampaignConfig())
-
-    result = benchmark.pedantic(unit, rounds=3, iterations=1)
+    result = run_instruction_test(spec, NativeMethodCompiler, CampaignConfig())
     assert result.differing_paths > 0  # the missing receiver check
 
-    write_artifact("table2.txt", format_table2(campaign))
-    write_json_artifact(
-        "table2_differences",
-        {
-            report.compiler: {
-                "tested_instructions": report.tested_instructions,
-                "interpreter_paths": report.interpreter_paths,
-                "curated_paths": report.curated_paths,
-                "differing_paths": report.differing_paths,
-                "difference_percentage": round(
-                    report.difference_percentage, 4
-                ),
-            }
-            for report in campaign
-        },
-    )
+    check_golden("table2.txt", format_table2(campaign))
 
     by_name = {report.compiler: report for report in campaign}
     native = by_name["Native Methods (primitives)"]
@@ -70,3 +56,9 @@ def test_table2_differences_per_compiler(benchmark, campaign):
     # Scale: hundreds of differences in total, as in the paper.
     total = sum(r.differing_paths for r in campaign)
     assert total >= 100
+
+
+@pytest.mark.parametrize("plan", sorted(EXTENSION_PLANS))
+def test_table2_extension_plan(plan, extension_campaigns):
+    check_golden(f"table2_{plan}.txt",
+                 format_table2(extension_campaigns[plan]))

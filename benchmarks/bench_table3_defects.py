@@ -14,43 +14,34 @@ The reproduction classifies every difference from the campaign through
 the rule-based encoding of the paper's manual analysis; every one of
 the six families must be populated, with missing functionality
 dominating and exactly one missing-interpreter-check cause
-(primitiveAsFloat).
+(primitiveAsFloat).  The table and its cause inventory must equal their
+golden, as must those of each extension plan.
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import write_artifact, write_json_artifact
+import pytest
+
+from benchmarks.conftest import EXTENSION_PLANS, check_golden
 from repro.difftest.defects import DefectCategory, category_summary, classify
 from repro.difftest.report import cause_listing, format_table3
 from repro.difftest.runner import all_comparisons
 
 
-def test_table3_defect_families(benchmark, campaign):
+def render_table3(reports) -> str:
+    return (format_table3(reports) + "\n\nCause inventory:\n"
+            + cause_listing(reports))
+
+
+def test_table3_defect_families(campaign):
     comparisons = all_comparisons(campaign)
     differences = [c for c in comparisons if c.is_difference]
-
-    def classify_all():
-        return [classify(difference) for difference in differences]
-
-    defects = benchmark(classify_all)
+    defects = [classify(difference) for difference in differences]
     assert len(defects) == len(differences)
 
-    write_artifact(
-        "table3.txt",
-        format_table3(campaign) + "\n\nCause inventory:\n"
-        + cause_listing(campaign),
-    )
+    check_golden("table3.txt", render_table3(campaign))
 
     summary = category_summary(comparisons)
-    write_json_artifact(
-        "table3_defects",
-        {
-            "families": {
-                category.value: count for category, count in summary.items()
-            },
-            "total": sum(summary.values()),
-        },
-    )
     # Exactly one missing interpreter check: primitiveAsFloat.
     assert summary[DefectCategory.MISSING_INTERPRETER_TYPE_CHECK] == 1
     # Float receiver unboxing: on the order of the paper's 13.
@@ -70,3 +61,9 @@ def test_table3_defect_families(benchmark, campaign):
     assert summary.get(DefectCategory.UNCLASSIFIED, 0) == 0
     # Total cause count in the paper's ballpark (91).
     assert 60 <= total <= 120
+
+
+@pytest.mark.parametrize("plan", sorted(EXTENSION_PLANS))
+def test_table3_extension_plan(plan, extension_campaigns):
+    check_golden(f"table3_{plan}.txt",
+                 render_table3(extension_campaigns[plan]))

@@ -1,28 +1,39 @@
-"""Shared benchmark fixtures: the full evaluation campaign, run once.
+"""Shared benchmark fixtures: the evaluation campaigns, run once, and
+the golden files their artifacts must equal.
 
 The paper's evaluation (Section 5) runs four experiments — the
 native-method compiler plus three byte-code compilers — on two ISAs.
 The ``campaign`` fixture executes the whole thing once per pytest
-session (~1-2 minutes) and every table/figure benchmark renders its
-artifact from the cached results, writing them under
-``benchmarks/results/``.
+session (a few seconds) and every table/figure benchmark renders its
+artifact from the cached results; ``extension_campaigns`` does the same
+for the ``--sequences`` and ``--stitch`` plans.
 
-Scale control: set ``REPRO_BENCH_SCALE=small`` to restrict the campaign
-to a subset of instructions (useful on slow machines); the default is
-the full instruction set.
+Everything a run writes lands in ``benchmarks/results/``, which git
+ignores: the rendered artifacts, their timings and the JSON twins.  A
+deterministic artifact (Tables 1-3, Fig. 5, the coverage and recall
+listings) must also equal its tracked golden in ``benchmarks/golden/``
+byte for byte, and no golden holds a timing.  A golden changes only by
+copying a reviewed artifact over it; the failure message names the
+copy.
 """
 
 from __future__ import annotations
 
+import difflib
 import json
-import os
 import pathlib
 
 import pytest
 
-from repro.difftest.runner import CampaignConfig, run_campaign
+from repro.difftest.runner import (
+    CampaignConfig,
+    run_campaign,
+    sequence_campaign_rows,
+    stitched_campaign_rows,
+)
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 #: The benchmarks reproduce the paper's numbers, which include the
@@ -31,20 +42,28 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: campaign re-seeds the gap with mutants R10/R11.
 PAPER_DEFECTS = {"mutants": ("R10", "R11")}
 
-
-def campaign_config() -> CampaignConfig:
-    if os.environ.get("REPRO_BENCH_SCALE") == "small":
-        return CampaignConfig(max_bytecodes=40, max_natives=30,
-                              **PAPER_DEFECTS)
-    return CampaignConfig(**PAPER_DEFECTS)
+#: The extension plans, unmutated, as ``repro campaign --sequences``
+#: and ``repro campaign --stitch`` run them.
+EXTENSION_PLANS = {
+    "sequences": sequence_campaign_rows,
+    "stitch": stitched_campaign_rows,
+}
 
 
 @pytest.fixture(scope="session")
 def campaign():
     """All four compiler reports (paper Table 2 rows), fully executed."""
-    reports = run_campaign(campaign_config())
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return reports
+    return run_campaign(CampaignConfig(**PAPER_DEFECTS))
+
+
+@pytest.fixture(scope="session")
+def extension_campaigns():
+    """``{plan: reports}`` for each of :data:`EXTENSION_PLANS`."""
+    config = CampaignConfig()
+    return {
+        plan: run_campaign(config, rows(config))
+        for plan, rows in EXTENSION_PLANS.items()
+    }
 
 
 @pytest.fixture(scope="session")
@@ -66,12 +85,29 @@ def write_artifact(name: str, content: str) -> None:
     print(content)
 
 
-def write_json_artifact(name: str, payload: dict) -> None:
-    """Machine-readable twin of a text artifact.
+def check_golden(name: str, content: str) -> None:
+    """Write artifact *name* and fail unless it equals its golden."""
+    write_artifact(name, content)
+    expected = (GOLDEN_DIR / name).read_text()
+    actual = content + "\n"
+    if actual != expected:
+        diff = "".join(difflib.unified_diff(
+            expected.splitlines(keepends=True),
+            actual.splitlines(keepends=True),
+            f"benchmarks/golden/{name}", f"benchmarks/results/{name}",
+        ))
+        pytest.fail(
+            f"{name} differs from its golden. If the change is intended, "
+            f"review it and copy it over the golden:\n"
+            f"  cp benchmarks/results/{name} benchmarks/golden/{name}\n"
+            f"{diff}",
+            pytrace=False,
+        )
 
-    Written as ``BENCH_<name>.json`` next to the rendered text so the
-    perf trajectory is diffable across PRs without parsing tables.
-    """
+
+def write_json_artifact(name: str, payload: dict) -> None:
+    """Machine-readable twin of a timed artifact, written as
+    ``BENCH_<name>.json`` next to the rendered text."""
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"BENCH_{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

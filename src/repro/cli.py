@@ -51,13 +51,14 @@ from repro.difftest.report import format_table2, format_table3
 from repro.difftest.runner import (
     CampaignConfig,
     campaign_rows,
+    explore_instruction,
     run_campaign,
     sequence_campaign_rows,
     spec_named,
     stitched_campaign_rows,
     test_instruction,
 )
-from repro.errors import BytecodeError
+from repro.errors import BytecodeError, CompilerError
 from repro.interpreter.primitives import testable_primitives
 from repro.jit.machine.arm32 import Arm32Backend
 from repro.jit.machine.x86 import X86Backend
@@ -475,6 +476,10 @@ def cmd_list(args) -> int:
 
 
 def cmd_disasm(args) -> int:
+    """Disassemble what the campaign compiles: the unit of the
+    instruction's first curated path that reaches the compiler."""
+    from repro.concolic.explorer import VMWorld
+    from repro.difftest.curation import curate_paths
     from repro.difftest.harness import DifferentialTester
     from repro.jit.machine.codecache import CodeCache
     from repro.jit.machine.disassembler import format_disassembly
@@ -482,8 +487,16 @@ def cmd_disasm(args) -> int:
     spec = resolve_spec(args.instruction)
     compiler_class = COMPILERS[args.compiler or default_compiler_for(spec)]
     backend = BACKENDS[args.backend[0]]()
-    tester = DifferentialTester(spec, compiler_class, [backend])
-    lowered = tester.compiler.compile(tester.unit())
+    world = VMWorld(spec)
+    exploration = explore_instruction(spec, CampaignConfig(), world=world)
+    tester = DifferentialTester(spec, compiler_class, [backend], world=world)
+    unit = tester.first_compiled_unit(curate_paths(exploration.paths))
+    try:
+        lowered = tester.compiler.compile(unit)
+    except CompilerError as error:
+        print(f"{spec.name} on {compiler_class.name}: {error}",
+              file=sys.stderr)
+        return 1
     print(format_disassembly(CodeCache().install(lowered, backend), backend,
                              tester.trampolines))
     return 0

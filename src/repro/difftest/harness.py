@@ -310,6 +310,16 @@ class DifferentialTester:
             sequence=tuple(getattr(self.spec, "sequence", ())),
         )
 
+    def first_compiled_unit(self, paths) -> CompilationUnit:
+        """The unit :meth:`run_path` compiles for the first of the
+        recorded *paths* that reaches the compiler (its exit is no
+        expected failure), or the empty-stack unit when none does."""
+        for path in paths:
+            if not self._expected_failure(path.exit.condition):
+                _frame, _input_mark, inputs = self._materialize(path.model)
+                return self.unit(inputs[1])
+        return self.unit()
+
     def run_path(self, path: PathResult, model=None) -> list[ComparisonResult]:
         """Differentially execute one concolic path on every back-end:
         one :class:`ComparisonResult` per back-end, in their order.

@@ -158,10 +158,17 @@ def _collect_names(code, into: set) -> None:
 
 def _resolve(name, namespaces, labels, memo) -> list:
     """``[((label, name), live object, function or None)]``: *name*
-    resolved against each namespace that has it, in order."""
+    resolved against each namespace that has it, in order.
+
+    A dunder name resolves to nothing: on a module namespace it names
+    the module's dict, file and cache path, which say where the code
+    was loaded from, not what it does.
+    """
     resolved = memo.get((labels, name))
     if resolved is None:
         resolved = memo[(labels, name)] = []
+        if name.startswith("__") and name.endswith("__"):
+            return resolved
         for label, namespace in namespaces:
             try:
                 value = getattr(namespace, name)

@@ -9,9 +9,13 @@ campaign would needlessly invalidate the cache.
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -51,9 +55,6 @@ class TestDeterminism:
             "config = CampaignConfig(backends=(X86Backend,))\n"
             "print(cell_fingerprint(spec, StackToRegisterCogit, config))\n"
         )
-        import os
-        from pathlib import Path
-
         import repro
 
         src = str(Path(repro.__file__).resolve().parent.parent)
@@ -66,6 +67,46 @@ class TestDeterminism:
             )
             runs.add(proc.stdout.strip())
         assert runs == {fingerprint()}
+
+    def test_stable_across_checkout_paths(self, tmp_path):
+        """Two copies of the same source at different paths fingerprint
+        every cell of the main, sequence and stitched plans alike: where
+        the code lives is not what it does."""
+        import repro
+
+        script = (
+            "import json\n"
+            "import repro\n"
+            "from repro.difftest.runner import (\n"
+            "    CampaignConfig, campaign_rows, sequence_campaign_rows,\n"
+            "    stitched_campaign_rows)\n"
+            "from repro.incremental import plan_fingerprints\n"
+            "config = CampaignConfig()\n"
+            "fingerprints = {}\n"
+            "for build in (campaign_rows, sequence_campaign_rows,\n"
+            "              stitched_campaign_rows):\n"
+            "    fingerprints.update(plan_fingerprints(build(config), config))\n"
+            "print(json.dumps([repro.__file__, fingerprints]))\n"
+        )
+        package = Path(repro.__file__).resolve().parent
+        runs = []
+        for checkout in (tmp_path / "one", tmp_path / "other" / "two"):
+            shutil.copytree(package, checkout / "repro",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            env = dict(os.environ, PYTHONPATH=str(checkout))
+            proc = subprocess.run(
+                [sys.executable, "-c", script], cwd=tmp_path,
+                capture_output=True, text=True, check=True, env=env,
+            )
+            loaded_from, fingerprints = json.loads(proc.stdout)
+            assert Path(loaded_from).is_relative_to(checkout)
+            runs.append(fingerprints)
+        first, second = runs
+        assert first.keys() == second.keys()
+        assert any(key.startswith("sequences::") for key in first)
+        assert any(key.startswith("stitched::") for key in first)
+        differing = sorted(key for key in first if first[key] != second[key])
+        assert not differing, f"{len(differing)} cells differ: {differing[:3]}"
 
     def test_plan_fingerprints_cover_every_cell(self):
         from repro.parallel.shard import plan_cells

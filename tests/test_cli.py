@@ -309,6 +309,28 @@ class TestCommands:
                      "--backend", backend]) == 0
         assert f"{backend} code object" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("compiler", ["s2r", "linear"])
+    @pytest.mark.parametrize("name", [
+        "storeTemporaryVariable0", "popIntoTemporaryVariable0",
+        "duplicateTop", "popStackTop", "returnTop",
+    ])
+    def test_disasm_compiles_a_paths_operand_stack(self, name, compiler,
+                                                   capsys):
+        """A front end that pops an operand while it compiles gets the
+        stack of the first curated path, as the campaign's harness
+        compiles it."""
+        assert main(["disasm", name, "--compiler", compiler]) == 0
+        assert "x86 code object" in capsys.readouterr().out
+
+    def test_disasm_compiler_error_is_one_line(self, capsys):
+        """A compiler error the campaign records (here a primitive the
+        native-method compiler lacks) prints one line and exits 1."""
+        assert main(["disasm", "primitiveHighBit"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "never implemented" in captured.err
+
     def test_generate(self, tmp_path, capsys):
         code = main(["generate", str(tmp_path), "pushTrue", "primitiveAdd"])
         assert code == 0
